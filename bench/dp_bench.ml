@@ -347,7 +347,7 @@ let () =
 
   (* --- large-n sparse-oracle track ---------------------------------- *)
   (* The point of the sparse rung: instances whose dense tables are
-     outright infeasible (m=4, n=50000 projects to m·n²·3 = 30 GB)
+     outright infeasible (m=4, n=50000 projects to m·n(n+1) = 10 GB)
      build in well under a second, hold linear memory, and solve end to
      end.  Plus a paired small instance where both rungs are feasible,
      checked for elementwise and whole-plan agreement. *)
@@ -357,7 +357,7 @@ let () =
     time_best ~reps:1 (fun () ->
         Interval_cost.of_task_set ~policy:Interval_cost.Sparse lts)
   in
-  let dense_projected_bytes = large_m * large_n * large_n * 3 in
+  let dense_projected_bytes = large_m * large_n * (large_n + 1) in
   let greedy, greedy_ms =
     time_best ~reps:1 (fun () -> Mt_greedy.best sparse_oracle)
   in

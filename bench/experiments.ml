@@ -882,8 +882,7 @@ let a19 () =
 let a20 () =
   section "A20 bounded hyperreconfiguration budgets (single task, field-diff)";
   let trace = counter_trace Shyra.Tracer.Field_diff in
-  let ru = Range_union.make trace in
-  let step_cost lo hi = Range_union.size ru lo hi in
+  let step_cost = (Interval_cost.of_single ~v:48 trace).Interval_cost.step_cost 0 in
   let n = Trace.length trace in
   let rows =
     List.map

@@ -85,9 +85,9 @@ let test_bitset =
         let b = Hr_util.Bitset.random (fun () -> Rng.float rng) ~width:48 ~density:0.3 in
         fun () -> Hr_util.Bitset.cardinal (Hr_util.Bitset.union a b)))
 
-let test_range_union =
-  Test.make ~name:"range_union/build-n84"
-    (Staged.stage (fun () -> Range_union.make (Lazy.force counter_trace)))
+let test_dense_build =
+  Test.make ~name:"interval_cost/dense-build-n84"
+    (Staged.stage (fun () -> Interval_cost.of_single ~v:0 (Lazy.force counter_trace)))
 
 (* A17: mesh bus resolution (the inner loop of mesh simulation). *)
 let test_mesh_resolve =
@@ -100,20 +100,19 @@ let test_mesh_resolve =
         in
         fun () -> Hr_rmesh.Grid.resolve grid config))
 
-(* The oracle caches behind Problem.make: the dense precomputed tables
-   (lock-free reads) vs the sharded lock-free memoizer, under a query
-   storm on one domain and spread across all domains — the access
-   pattern of Solver.race.  Both caches are built and prewarmed before
-   staging, so steady-state lookups are what is measured. *)
+(* Dense-table lookups behind Problem.make, under a query storm on one
+   domain and spread across all domains — the access pattern of
+   Solver.race.  The table is built before staging, so steady-state
+   lookups are what is measured. *)
 let oracle_cache_tests =
-  let base =
+  let dense =
     lazy
       (let spec = { W.Multi_gen.default_spec with W.Multi_gen.m = 4; n = 96 } in
        Interval_cost.of_task_set (W.Multi_gen.correlated (Rng.create 21) spec))
   in
   let queries =
     lazy
-      (let o = Lazy.force base in
+      (let o = Lazy.force dense in
        let m = o.Interval_cost.m and n = o.Interval_cost.n in
        let rng = Rng.create 22 in
        Array.init 4096 (fun _ ->
@@ -121,17 +120,6 @@ let oracle_cache_tests =
            let lo = Rng.int rng n in
            let hi = lo + Rng.int rng (n - lo) in
            (j, lo, hi)))
-  in
-  let prewarm o =
-    let m = o.Interval_cost.m and n = o.Interval_cost.n in
-    for j = 0 to m - 1 do
-      for lo = 0 to n - 1 do
-        for hi = lo to n - 1 do
-          ignore (o.Interval_cost.step_cost j lo hi)
-        done
-      done
-    done;
-    o
   in
   let storm ~domains o =
     let qs = Lazy.force queries in
@@ -148,16 +136,10 @@ let oracle_cache_tests =
     else Hr_util.Par.iter_chunks ~domains burn (Array.length qs)
   in
   List.map
-    (fun (name, cache, domains) ->
-      let cached = lazy (prewarm (cache (Lazy.force base))) in
-      Test.make ~name:(Printf.sprintf "interval_cost/%s" name)
-        (Staged.stage (fun () -> storm ~domains (Lazy.force cached))))
-    [
-      ("sharded-memoize-1dom", Interval_cost.memoize, 1);
-      ("dense-precompute-1dom", (fun o -> Interval_cost.precompute o), 1);
-      ("sharded-memoize-4dom", Interval_cost.memoize, 4);
-      ("dense-precompute-4dom", (fun o -> Interval_cost.precompute o), 4);
-    ]
+    (fun domains ->
+      Test.make ~name:(Printf.sprintf "interval_cost/dense-lookup-%ddom" domains)
+        (Staged.stage (fun () -> storm ~domains (Lazy.force dense))))
+    [ 1; 4 ]
 
 (* The referee VM (differential oracle of the §4.2 formulas). *)
 let test_vm =
@@ -183,7 +165,7 @@ let all_tests =
       test_dag;
       test_changeover;
       test_bitset;
-      test_range_union;
+      test_dense_build;
       test_mesh_resolve;
       test_vm;
     ]

@@ -305,9 +305,10 @@ let max_table_mb =
     & info [ "max-table-mb" ] ~docv:"MB"
         ~doc:
           "Dense oracle-table memory cap in MiB (a positive integer; default \
-           128).  Over-budget instances degrade down the oracle ladder \
-           (sparse index, then the memory-bounded memoizer); telemetry \
-           reports the chosen cache kind, element width and resident bytes.")
+           128).  A switch-model table takes m·n(n+1) bytes at 16 bits; \
+           over-budget switch instances use the sparse index and other \
+           over-budget oracles stay uncached.  Telemetry reports the chosen \
+           cache kind, element width and resident bytes.")
 
 let oracle_policy =
   Arg.(
@@ -315,7 +316,7 @@ let oracle_policy =
     & opt string "auto"
     & info [ "oracle" ] ~docv:"POLICY"
         ~doc:
-          "Oracle ladder rung: dense (always precompute the O(1) tables), \
+          "Oracle ladder rung: dense (always precompute the O(1) table), \
            sparse (always the occurrence index — linear memory, O(S log n) \
            queries), or auto (dense while it fits the byte budget, sparse \
            above it; the default).")

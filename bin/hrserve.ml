@@ -342,8 +342,9 @@ let max_table_mb =
     & info [ "max-table-mb" ] ~docv:"MB"
         ~doc:
           "Per-instance dense-table memory cap in MiB (a positive integer; \
-           default 128).  Instances whose table would exceed it degrade to the \
-           memory-bounded memoizer.")
+           default 128).  A switch-model table takes m·n(n+1) bytes at 16 \
+           bits; instances whose table would exceed it use the sparse index \
+           (switch cases) or stay uncached (other models).")
 
 let max_lru_mb =
   Arg.(
@@ -362,7 +363,7 @@ let oracle_policy =
     & info [ "oracle" ] ~docv:"POLICY"
         ~doc:
           "Oracle ladder rung for switch-model cases: $(b,dense) (always the \
-           O(1) precomputed tables), $(b,sparse) (always the occurrence index \
+           O(1) precomputed table), $(b,sparse) (always the occurrence index \
            — linear memory, never densified, bypasses the table cache), or \
            $(b,auto) (dense while it fits the byte budget; the default).")
 

@@ -206,9 +206,9 @@ let problem ?max_table_bytes ?cache_dir ?oracle t =
         let cache = Table_cache.of_dir dir in
         let key = oracle_key t in
         (* Warm path: reconstruct the oracle straight from the mapped
-           table.  Even the oracle constructors are O(m·n²) (range-union
-           builds), so a hit must skip them entirely — m, n and v are
-           derivable from the spec in O(input). *)
+           table.  The oracle constructors are O(m·n²) (they build the
+           dense table), so a hit must skip them entirely — m, n and v
+           are derivable from the spec in O(input). *)
         match Interval_cost.of_cache cache ~key ~m:(m t) ~n:(n t) ~v:(oracle_v t) with
         | Some oracle -> mk oracle
         | None ->

@@ -36,12 +36,12 @@ let error_response ?(wall_ms = 0.) ~id msg = { id; outcome = Error msg; wall_ms 
    shared freely across domains.  Builds happen outside the lock: two
    requests racing on a fresh key may both build (idempotent — the
    loser's table is dropped), but distinct keys never serialize on each
-   other's O(m·n²) precompute.
+   other's O(m·n²) table build.
 
    The store is a byte-budgeted LRU: entries form a doubly-linked
-   recency list, each charged its dense-table residency
-   (Interval_cost.cache_stats.bytes_resident, floored so even
-   memoizer-backed problems have positive weight), and inserting past
+   recency list, each charged its oracle residency
+   (Interval_cost.cache_stats.bytes_resident, floored so even direct
+   oracles have positive weight), and inserting past
    [max_bytes] evicts from the cold end.  Without [max_bytes] it
    degrades to the old unbounded behaviour. *)
 type node = {
@@ -94,9 +94,9 @@ let build_cache ?max_bytes () =
   }
 
 (* A problem's charge against the byte budget: its dense-table (or
-   memoizer-estimate) residency, floored at 1 KiB so empty/direct
-   oracles still have weight and the LRU cannot grow unboundedly on
-   zero-cost entries. *)
+   sparse-index) residency, floored at 1 KiB so empty/direct oracles
+   still have weight and the LRU cannot grow unboundedly on zero-cost
+   entries. *)
 let problem_cost_bytes problem =
   max 1024 (Interval_cost.cache_stats problem.Problem.oracle).Interval_cost.bytes_resident
 

@@ -15,9 +15,8 @@
 
     {b Oracle sharing.}  Requests may carry a dedup [key] (the serving
     loop uses the case's canonical JSON).  Requests with equal keys
-    share one problem build — and therefore one
-    {!Interval_cost.precompute} table — instead of rebuilding the dense
-    oracle per request.
+    share one problem build — and therefore one dense oracle table —
+    instead of rebuilding it per request.
 
     {b Budget carving.}  One batch-global deadline is carved into
     per-request cooperative budgets: when a request starts, it receives

@@ -44,12 +44,11 @@ let plan_cost encoding trace =
     (* Optimal among union plans: block DP with the (non-monotone)
        descriptor init evaluated on block unions. *)
     let n = Trace.length trace in
-    let unions = Range_union.make trace in
     let f = Array.make (n + 1) max_int in
     f.(0) <- 0;
     for j = 0 to n - 1 do
       for i = 0 to j do
-        let u = Range_union.union unions i j in
+        let u = Trace.range_union trace i j in
         let c = f.(i) + init u + (Bitset.cardinal u * (j - i + 1)) in
         if f.(i) < max_int && c < f.(j + 1) then f.(j + 1) <- c
       done

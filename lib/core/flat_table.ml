@@ -7,11 +7,6 @@ type t =
 
 exception Overflow of { index : int; value : int; width_bits : int }
 
-(* One threshold for every dense table build (Range_union rows,
-   Interval_cost cells): parallelize on the pool at or above this many
-   cells, stay sequential below. *)
-let parallel_build_cells = 1 lsl 16
-
 let max_i16 = 0xFFFF
 let max_i32 = Int32.to_int Int32.max_int
 

@@ -1,9 +1,9 @@
 (** Width-laddered flat tables on [Bigarray] storage.
 
-    The dense oracle tables ({!Range_union}, {!Interval_cost.precompute})
-    used to live in OCaml [int array]s: one boxed word per cell, scanned
-    by the GC on every major cycle and multiplied across the
-    {!Hr_util.Pool} domains' heaps.  A [Flat_table.t] keeps the same
+    The dense oracle table ({!Interval_cost}) used to live in OCaml
+    [int array]s: one boxed word per cell, scanned by the GC on every
+    major cycle and multiplied across the {!Hr_util.Pool} domains'
+    heaps.  A [Flat_table.t] keeps the same
     O(1) lock-free reads but stores cells out of the OCaml heap in a
     [Bigarray.Array1] — zero-copy shareable across domains (the mapping
     lives in the process address space, not a domain-local heap), never
@@ -26,14 +26,6 @@ type t =
 (** Raised by {!set}/{!writer} when a value does not fit the table's
     element width (negative, or beyond the width's maximum). *)
 exception Overflow of { index : int; value : int; width_bits : int }
-
-(** The shared auto-parallelization threshold: a dense table build of at
-    least this many cells runs on the {!Hr_util.Pool} when no explicit
-    pool was passed; below it, queue traffic would dominate the row
-    loops and the build stays sequential.  Both {!Range_union.make} and
-    {!Interval_cost} size their decision against this one constant so
-    the two layers cannot drift apart. *)
-val parallel_build_cells : int
 
 (** [create ~max_value len] allocates a zero-filled table of [len]
     cells wide enough for [max_value] (16 bits below 2¹⁶, 32 bits up to

@@ -75,8 +75,9 @@ let solve_explicit hcs trace =
 let solve_monotone ~init ~cost trace =
   let n = Trace.length trace in
   if n = 0 then invalid_arg "General_opt.solve_monotone: empty trace";
-  (* Materialize block unions once per lo-row, like Range_union but
-     keeping the sets because the cost oracles need them. *)
+  (* Materialize block unions once per lo-row, like the dense
+     Interval_cost sweep but keeping the sets because the cost oracles
+     need them. *)
   let unions = Array.init n (fun _ -> Array.make n None) in
   for lo = 0 to n - 1 do
     let acc = ref (Bitset.copy (Trace.req trace lo)) in

@@ -1,16 +1,10 @@
 module Pool = Hr_util.Pool
+module Bitset = Hr_util.Bitset
 
 type dense_source = Built | Mapped
 
 type cache =
   | Direct
-  | Memoized of {
-      hits : int Atomic.t;
-      misses : int Atomic.t;
-      entries : int Atomic.t;
-      probe_full : int Atomic.t;
-      slot_races : int Atomic.t;
-    }
   | Dense_table of {
       table : Flat_table.t;
       build_ms : float;
@@ -26,10 +20,6 @@ let policy_enum = [ ("dense", Dense); ("sparse", Sparse); ("auto", Auto) ]
 
 type cache_stats = {
   kind : string;
-  hits : int;
-  misses : int;
-  probe_full : int;
-  slot_races : int;
   queries : int;
   cells : int;
   segments : int;
@@ -51,25 +41,9 @@ type t = {
   fingerprint : string option;
 }
 
-(* The memoize fallback capacity (see [memoize] below). *)
-let memo_shards = 64
-let memo_slots = 4096 (* per shard; must be a power of two *)
-let memo_probe_limit = 16
-
-(* Heap-accounting estimates for the memoizer: the slot array is
-   [memo_shards * memo_slots] one-word Atomics, and each resident entry
-   additionally boxes a (key, value) pair — 3 words with its header. *)
-let word = Sys.word_size / 8
-let memo_table_bytes = memo_shards * memo_slots * word
-let memo_entry_bytes = 3 * word
-
 let no_stats =
   {
     kind = "direct";
-    hits = 0;
-    misses = 0;
-    probe_full = 0;
-    slot_races = 0;
     queries = 0;
     cells = 0;
     segments = 0;
@@ -85,20 +59,6 @@ let no_stats =
 let cache_stats t =
   match t.cache with
   | Direct -> no_stats
-  | Memoized { hits; misses; entries; probe_full; slot_races } ->
-      let resident = Atomic.get entries in
-      {
-        no_stats with
-        kind = "memoize";
-        hits = Atomic.get hits;
-        misses = Atomic.get misses;
-        probe_full = Atomic.get probe_full;
-        slot_races = Atomic.get slot_races;
-        cells = resident;
-        width_bits = 64;
-        bytes_resident = memo_table_bytes + (resident * memo_entry_bytes);
-        bytes_peak = memo_table_bytes + (memo_shards * memo_slots * memo_entry_bytes);
-      }
   | Dense_table { table; build_ms; build_workers; build_seq_ms; source } ->
       let bytes = Flat_table.bytes table in
       {
@@ -121,7 +81,7 @@ let cache_stats t =
         kind = "sparse";
         queries = sum Occ_index.queries;
         (* cells: the occurrence-list entries actually stored — the
-           sparse analogue of the dense table's m·n² cell count. *)
+           sparse analogue of the dense table's cell count. *)
         cells = sum Occ_index.entries;
         segments = sum Occ_index.segments;
         build_ms;
@@ -137,8 +97,110 @@ let make ~m ~n ~v ~step_cost =
   if Array.length v <> m then invalid_arg "Interval_cost.make: |v| <> m";
   { m; n; v = Array.copy v; step_cost; cache = Direct; fingerprint = None }
 
+(* ------------------------------------------------------------------ *)
+(* The dense layout.  Only the upper triangle lo <= hi exists: task j's
+   n(n+1)/2 cells start at j·n(n+1)/2, row lo of a triangle starts at
+   lo·n − lo(lo−1)/2, and cell (lo, hi) sits hi − lo into its row. *)
+
+let tri_cells n = n * (n + 1) / 2
+let dense_cells ~m ~n = m * tri_cells n
+
+(* [row_bases n].(lo) + hi is the index of cell (0, lo, hi). *)
+let row_bases n = Array.init n (fun lo -> (lo * n) - (lo * (lo - 1) / 2) - lo)
+
+let dense_lookup ~n table =
+  let read = Flat_table.reader table in
+  let tri = tri_cells n and rows = row_bases n in
+  (* A task outside 0..m-1 or lo < 0 falls off the row array or the
+     table, which raises Invalid_argument as well. *)
+  fun j lo hi ->
+    if lo > hi || hi >= n then
+      invalid_arg (Printf.sprintf "Interval_cost: bad range [%d,%d] (n=%d)" lo hi n);
+    read ((j * tri) + rows.(lo) + hi)
+
+(* Parallelize a dense build on the pool at or above this many cells;
+   below it, queue traffic would dominate the row sweeps. *)
+let parallel_build_cells = 1 lsl 15
+
+let width_bytes_for bound = if bound <= 0xFFFF then 2 else if bound <= Int32.to_int Int32.max_int then 4 else 8
+
+(* The one dense build.  [fill write base j lo] writes cell (j, lo, hi)
+   at index [base + hi] for every hi in lo..n-1.  The (task, lo) rows
+   are independent, so they build in parallel on [pool] — by default
+   the shared pool for tables of at least [parallel_build_cells] cells
+   — and the per-chunk wall clocks add up to the sequential-equivalent
+   build time.  [bound] picks the element width; a fill that exceeds it
+   (a non-monotone custom oracle) trips the checked write and the table
+   is rebuilt at full width instead of storing a truncated cell. *)
+let build_dense ?pool ~m ~n ~bound fill =
+  let t0 = Hr_util.Budget.now_ms () in
+  let cells = dense_cells ~m ~n in
+  let tri = tri_cells n and rows = row_bases n in
+  let pool =
+    match pool with
+    | Some _ -> pool
+    | None -> if cells >= parallel_build_cells then Some (Pool.default ()) else None
+  in
+  let seq_us = Atomic.make 0 in
+  let build max_value =
+    let table = Flat_table.create ~max_value cells in
+    let write = Flat_table.writer table in
+    Atomic.set seq_us 0;
+    let fill_rows r_lo r_hi =
+      let c0 = Hr_util.Budget.now_ms () in
+      for r = r_lo to r_hi do
+        let j = r / n and lo = r mod n in
+        fill write ((j * tri) + rows.(lo)) j lo
+      done;
+      ignore
+        (Atomic.fetch_and_add seq_us
+           (int_of_float ((Hr_util.Budget.now_ms () -. c0) *. 1000.)))
+    in
+    let workers =
+      match pool with
+      | Some p ->
+          Pool.iter_chunks ~chunks:(min (m * n) ((Pool.size p + 1) * 4)) p fill_rows (m * n);
+          Pool.size p + 1
+      | None ->
+          fill_rows 0 ((m * n) - 1);
+          1
+    in
+    (table, workers)
+  in
+  let table, build_workers =
+    try build bound with Flat_table.Overflow _ -> build max_int
+  in
+  let build_ms = Hr_util.Budget.now_ms () -. t0 in
+  let build_seq_ms =
+    if build_workers = 1 then build_ms else float_of_int (Atomic.get seq_us) /. 1000.
+  in
+  (table, Dense_table { table; build_ms; build_workers; build_seq_ms; source = Built })
+
+let dense ~m ~n ~v ~fingerprint (table, cache) =
+  { (make ~m ~n ~v ~step_cost:(dense_lookup ~n table)) with cache; fingerprint }
+
+(* The switch-model fill: row lo of task j grows one union from step lo
+   to n−1 and writes [measure j] of it after each step.  The whole
+   trace's union is the largest a block union can be, so it bounds every
+   cell. *)
+let sweep ?pool ts ~measure =
+  let m = Task_set.num_tasks ts and n = Task_set.steps ts in
+  let traces = Array.init m (fun j -> (Task_set.get ts j).Task_set.trace) in
+  let bound = ref 0 in
+  Array.iteri (fun j tr -> bound := max !bound (measure j (Trace.total_union tr))) traces;
+  build_dense ?pool ~m ~n ~bound:!bound (fun write base j lo ->
+      let tr = traces.(j) in
+      let acc = Bitset.copy (Trace.req tr lo) in
+      write (base + lo) (measure j acc);
+      for hi = lo + 1 to n - 1 do
+        ignore (Bitset.union_into ~into:acc (Trace.req tr hi));
+        write (base + hi) (measure j acc)
+      done)
+
+let task_vs ts = Array.init (Task_set.num_tasks ts) (fun j -> (Task_set.get ts j).Task_set.v)
+
 (* The structural hash of a task set: everything the switch-model dense
-   tables are a function of (constructor tag, dimensions, per-task v,
+   table is a function of (constructor tag, dimensions, per-task v,
    local-space width, and every step requirement).  Equal task sets
    hash equal; any change to a requirement changes the digest. *)
 let task_set_fingerprint ts =
@@ -167,32 +229,19 @@ let task_set_fingerprint ts =
 let default_max_bytes = 128 * 1024 * 1024
 
 let dense_of_task_set ?pool ts =
-  let m = Task_set.num_tasks ts in
-  let n = Task_set.steps ts in
-  let v = Array.init m (fun j -> (Task_set.get ts j).Task_set.v) in
-  let pool =
-    match pool with
-    | Some _ -> pool
-    | None ->
-        if m * n * n >= Flat_table.parallel_build_cells then Some (Pool.default ())
-        else None
-  in
-  (* Multi-task sets parallelize across tasks; a single task hands the
-     pool down so Range_union parallelizes across its lo rows
-     instead. *)
-  let mk j = Range_union.make ?pool:(if m = 1 then pool else None) (Task_set.get ts j).Task_set.trace in
-  let tables =
-    match pool with
-    | Some p when m > 1 -> Pool.map p mk (Array.init m Fun.id)
-    | _ -> Array.init m mk
-  in
-  let step_cost j lo hi = Range_union.size tables.(j) lo hi in
-  { (make ~m ~n ~v ~step_cost) with fingerprint = Some (task_set_fingerprint ts) }
+  dense ~m:(Task_set.num_tasks ts) ~n:(Task_set.steps ts) ~v:(task_vs ts)
+    ~fingerprint:(Some (task_set_fingerprint ts))
+    (sweep ?pool ts ~measure:(fun _ acc -> Bitset.cardinal acc))
+
+let of_weighted ?pool ~v ~weights ts =
+  dense ~m:(Task_set.num_tasks ts) ~n:(Task_set.steps ts) ~v ~fingerprint:None
+    (sweep ?pool ts ~measure:(fun j acc ->
+         let w = weights.(j) in
+         Bitset.fold (fun x s -> s + w.(x)) acc 0))
 
 let sparse_of_task_set ts =
   let m = Task_set.num_tasks ts in
   let n = Task_set.steps ts in
-  let v = Array.init m (fun j -> (Task_set.get ts j).Task_set.v) in
   let t0 = Hr_util.Budget.now_ms () in
   let indexes =
     Array.init m (fun j -> Occ_index.of_trace (Task_set.get ts j).Task_set.trace)
@@ -200,15 +249,14 @@ let sparse_of_task_set ts =
   let build_ms = Hr_util.Budget.now_ms () -. t0 in
   let step_cost j lo hi = Occ_index.size indexes.(j) lo hi in
   {
-    (make ~m ~n ~v ~step_cost) with
+    (make ~m ~n ~v:(task_vs ts) ~step_cost) with
     cache = Sparse_index { indexes; build_ms };
     fingerprint = Some (task_set_fingerprint ts);
   }
 
-(* The projected dense footprint: m triangular Range_union tables plus
-   the m·n² Interval_cost table, both at the 2-byte minimum width — the
-   cheapest the dense rung can possibly be. *)
-let projected_dense_bytes ~m ~n = m * n * n * 3
+(* The dense footprint at the 2-byte minimum width — the cheapest the
+   dense rung can possibly be. *)
+let projected_dense_bytes ~m ~n = 2 * dense_cells ~m ~n
 
 let of_task_set ?pool ?(policy = Auto) ?(max_bytes = default_max_bytes) ts =
   match policy with
@@ -222,59 +270,9 @@ let of_task_set ?pool ?(policy = Auto) ?(max_bytes = default_max_bytes) ts =
 let of_single ?pool ?policy ?max_bytes ~v trace =
   of_task_set ?pool ?policy ?max_bytes (Task_set.single ~name:"task" ~v trace)
 
-(* The memoize fallback: a sharded, fixed-capacity, lock-free cache.
-   Each slot is an [Atomic.t] holding an immutable (key, value) pair;
-   inserts publish with a single compare-and-set against the shared
-   empty sentinel, reads are one [Atomic.get] — racing solver domains
-   never serialize on a lock.  A full probe window simply computes
-   without caching (bounded memory; the hot triples win the slots). *)
-let memoize t =
-  let empty = (min_int, 0) in
-  let table = Array.init (memo_shards * memo_slots) (fun _ -> Atomic.make empty) in
-  let hits = Atomic.make 0 and misses = Atomic.make 0 and entries = Atomic.make 0 in
-  let probe_full = Atomic.make 0 and slot_races = Atomic.make 0 in
-  let step_cost j lo hi =
-    let key = (((j * t.n) + lo) * t.n) + hi in
-    let h = key * 0x2545F4914F6CDD1D in
-    let base = (h land (memo_shards - 1)) * memo_slots in
-    let slot0 = (h lsr 6) land (memo_slots - 1) in
-    let rec probe k =
-      if k >= memo_probe_limit then begin
-        (* Window exhausted: compute without caching.  Counted apart
-           from misses so telemetry can tell "cold" from "capacity". *)
-        Atomic.incr probe_full;
-        t.step_cost j lo hi
-      end
-      else begin
-        let slot = table.(base + ((slot0 + k) land (memo_slots - 1))) in
-        let ck, cv = Atomic.get slot in
-        if ck = key then begin
-          Atomic.incr hits;
-          cv
-        end
-        else if ck = min_int then begin
-          Atomic.incr misses;
-          let c = t.step_cost j lo hi in
-          if Atomic.compare_and_set slot empty (key, c) then Atomic.incr entries
-          else Atomic.incr slot_races;
-          c
-        end
-        else probe (k + 1)
-      end
-    in
-    probe 0
-  in
-  {
-    t with
-    step_cost;
-    cache = Memoized { hits; misses; entries; probe_full; slot_races };
-  }
-
 (* [step_cost] is monotone (non-increasing in lo, non-decreasing in
    hi), so the largest cell of task j is the full-interval cost — m
-   oracle calls bound every cell and pick the element width.  A
-   non-monotone custom oracle that breaks the bound is caught by the
-   checked table writes and rebuilt at full width. *)
+   oracle calls bound every cell and pick the element width. *)
 let value_bound t =
   let b = ref 0 in
   for j = 0 to t.m - 1 do
@@ -282,135 +280,59 @@ let value_bound t =
   done;
   !b
 
-let width_bytes_for bound = if bound <= 0xFFFF then 2 else if bound <= Int32.to_int Int32.max_int then 4 else 8
-
-let dense_lookup ~n table =
-  let read = Flat_table.reader table in
-  fun j lo hi -> read ((((j * n) + lo) * n) + hi)
-
-let of_table ~m ~n ~v table =
-  if Flat_table.length table <> m * n * n then
-    invalid_arg "Interval_cost.of_table: table size <> m*n*n";
-  {
-    m;
-    n;
-    v = Array.copy v;
-    step_cost = dense_lookup ~n table;
-    cache =
-      Dense_table
-        { table; build_ms = 0.; build_workers = 1; build_seq_ms = 0.; source = Mapped };
-    fingerprint = None;
-  }
+let mapped ~build_ms table =
+  ( table,
+    Dense_table { table; build_ms; build_workers = 1; build_seq_ms = build_ms; source = Mapped } )
 
 let of_cache cache ~key ~m ~n ~v =
   if m <= 0 || n < 0 then None
   else
     Option.map
-      (fun table -> { (of_table ~m ~n ~v table) with fingerprint = Some key })
-      (Table_cache.load cache ~key ~cells:(m * n * n))
+      (fun table -> dense ~m ~n ~v ~fingerprint:(Some key) (mapped ~build_ms:0. table))
+      (Table_cache.load cache ~key ~cells:(dense_cells ~m ~n))
 
 let precompute ?(max_bytes = default_max_bytes) ?cache ?pool t =
+  let store table =
+    match (cache, t.fingerprint) with
+    | Some c, Some key -> Table_cache.store c ~key table
+    | _ -> ()
+  in
   match t.cache with
-  (* Already materialized (or already fallen back): re-densifying would
-     only copy the table.  Short-circuiting keeps per-solve calls
-     (Mt_ga, Mt_local, Mt_anneal under Solver.race) free once
-     Problem.make has built the shared tables.  A sparse oracle stays
-     sparse — the whole point of forcing [Sparse] is never to pay the
-     n² densification. *)
-  | Dense_table _ | Sparse_index _ -> t
-  | _ when t.n = 0 -> t
-  | _ ->
-      let n = t.n and m = t.m in
-      let cells = m * n * n in
+  (* A constructor already built the table, so only the write-back for
+     the next process is left.  A mapped table is the cache's own copy,
+     and a sparse oracle stays sparse — the whole point of forcing
+     [Sparse] is never to pay the n² densification. *)
+  | Dense_table { table; source = Built; _ } ->
+      store table;
+      t
+  | Dense_table { source = Mapped; _ } | Sparse_index _ -> t
+  | Direct when t.n = 0 -> t
+  | Direct ->
+      let m = t.m and n = t.n in
+      let cells = dense_cells ~m ~n in
       let bound = value_bound t in
-      if cells * width_bytes_for bound > max_bytes then (
-        (* Over the memory budget: the graceful fall-back ladder ends at
-           the bounded-memory memoizer. *)
-        match t.cache with Memoized _ -> t | _ -> memoize t)
+      (* Over the memory budget a custom oracle stays direct. *)
+      if cells * width_bytes_for bound > max_bytes then t
       else
         let t0 = Hr_util.Budget.now_ms () in
-        let cached =
+        let with_table = dense ~m ~n ~v:t.v ~fingerprint:t.fingerprint in
+        let stored =
           match (cache, t.fingerprint) with
           | Some c, Some key -> Table_cache.load c ~key ~cells
           | _ -> None
         in
-        match cached with
+        match stored with
         | Some table ->
             (* mmap hit: the table pages in on demand; no oracle calls. *)
-            let build_ms = Hr_util.Budget.now_ms () -. t0 in
-            {
-              t with
-              step_cost = dense_lookup ~n table;
-              cache =
-                Dense_table
-                  { table; build_ms; build_workers = 1; build_seq_ms = build_ms; source = Mapped };
-            }
+            with_table (mapped ~build_ms:(Hr_util.Budget.now_ms () -. t0) table)
         | None ->
-            (* One flat table: lock-free reads, so the same oracle can be
-               shared by solvers racing on several domains without the
-               sentinel-CAS round of [memoize].  Rows ((task, lo) pairs)
-               are independent, so they build in parallel on the pool;
-               per-chunk wall clocks accumulate into the
-               sequential-equivalent build time reported by
-               {!cache_stats}. *)
-            let pool =
-              match pool with
-              | Some _ -> pool
-              | None ->
-                  if cells >= Flat_table.parallel_build_cells then Some (Pool.default ())
-                  else None
-            in
-            let seq_us = Atomic.make 0 in
-            let build max_value =
-              let tab = Flat_table.create ~max_value cells in
-              let write = Flat_table.writer tab in
-              Atomic.set seq_us 0;
-              let fill_rows r_lo r_hi =
-                let c0 = Hr_util.Budget.now_ms () in
-                for r = r_lo to r_hi do
-                  let j = r / n and lo = r mod n in
-                  let base = ((j * n) + lo) * n in
+            let ((table, _) as built) =
+              build_dense ?pool ~m ~n ~bound (fun write base j lo ->
                   for hi = lo to n - 1 do
                     write (base + hi) (t.step_cost j lo hi)
-                  done
-                done;
-                ignore
-                  (Atomic.fetch_and_add seq_us
-                     (int_of_float ((Hr_util.Budget.now_ms () -. c0) *. 1000.)))
-              in
-              let build_workers =
-                match pool with
-                | Some p ->
-                    Pool.iter_chunks ~chunks:(min (m * n) ((Pool.size p + 1) * 4)) p
-                      fill_rows (m * n);
-                    Pool.size p + 1
-                | None ->
-                    fill_rows 0 ((m * n) - 1);
-                    1
-              in
-              (tab, build_workers)
+                  done)
             in
-            let tab, build_workers =
-              (* The monotone bound makes overflow impossible for
-                 law-abiding oracles; a custom oracle that violates
-                 monotonicity trips the checked write and rebuilds at
-                 full width instead of storing a truncated cell. *)
-              try build bound with Flat_table.Overflow _ -> build max_int
-            in
-            (match (cache, t.fingerprint) with
-            | Some c, Some key -> Table_cache.store c ~key tab
-            | _ -> ());
-            let build_ms = Hr_util.Budget.now_ms () -. t0 in
-            let build_seq_ms =
-              if build_workers = 1 then build_ms
-              else float_of_int (Atomic.get seq_us) /. 1000.
-            in
-            {
-              t with
-              step_cost = dense_lookup ~n tab;
-              cache =
-                Dense_table
-                  { table = tab; build_ms; build_workers; build_seq_ms; source = Built };
-            }
+            store table;
+            with_table built
 
 let full_cost t j = if t.n = 0 then 0 else t.step_cost j 0 (t.n - 1)

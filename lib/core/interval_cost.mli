@@ -19,12 +19,13 @@
     {- non-negative.}}
     Constructors in this library guarantee both.
 
-    Dense tables live out of the OCaml heap in a {!Flat_table.t}
+    The dense table lives out of the OCaml heap in one {!Flat_table.t}
     (Bigarray storage, element width chosen from the largest cell):
     zero-copy shareable across {!Hr_util.Pool} domains, invisible to
-    the GC, lock-free O(1) reads.  With a {!Table_cache.t} the tables
-    also persist across processes, addressed by the oracle's structural
-    fingerprint. *)
+    the GC, lock-free O(1) reads.  It holds only the cells with
+    [lo <= hi]: m·n(n+1)/2 of them, task by task and row by row.  With
+    a {!Table_cache.t} the table also persists across processes,
+    addressed by the oracle's structural fingerprint. *)
 
 (** How (and whether) the oracle caches [step_cost] queries — carried
     by the oracle so the solver telemetry can report cache behavior. *)
@@ -32,10 +33,10 @@ type cache
 
 (** Which rung of the oracle ladder {!of_task_set} builds:
     {ul
-    {- [Dense] — always the O(1) precomputed tables, whatever the size;}
+    {- [Dense] — always the O(1) precomputed table, whatever the size;}
     {- [Sparse] — always the {!Occ_index} occurrence index: O(S log σ)
        queries, memory linear in the compressed trace, no n² anywhere;}
-    {- [Auto] (the default) — dense while the projected tables fit the
+    {- [Auto] (the default) — dense while the projected table fits the
        byte budget, sparse above it.}} *)
 type policy = Dense | Sparse | Auto
 
@@ -59,49 +60,32 @@ type t = {
 }
 
 (** A telemetry snapshot of the oracle's cache.  [kind] is ["direct"]
-    (no cache), ["memoize"] (sharded lock-free cache; [hits]/[misses]
-    count queries, [cells] counts the distinct entries actually
-    resident — {e not} the miss count), ["dense"] ([cells] = m·n²
-    precomputed table cells; lookups are uncounted array reads) or
-    ["sparse"] (the {!Occ_index} occurrence index; [queries] counts
-    [step_cost] calls, [cells] the stored occurrence-list entries,
-    [segments] the compressed trace length summed over tasks).
-
-    For ["memoize"], [misses] counts only queries that found an open
-    slot to fill; a query whose probe window was full computes without
-    caching and is counted in [probe_full] instead, and a filling miss
-    that lost its publish race to a concurrent domain is additionally
-    counted in [slot_races] (its computed value is returned but not
-    cached).  So in a single-domain run
-    [cells = misses - slot_races = misses] exactly; [hits + misses +
-    probe_full] is the total query count.
+    (no cache), ["dense"] ([cells] = the m·n(n+1)/2 precomputed table
+    cells; lookups are uncounted array reads) or ["sparse"] (the
+    {!Occ_index} occurrence index; [queries] counts [step_cost] calls,
+    [cells] the stored occurrence-list entries, [segments] the
+    compressed trace length summed over tasks).
 
     The build-parallelism fields describe how a dense table was
-    materialized: [build_ms] is the wall-clock build time,
+    materialized: [build_ms] is the wall-clock time of the whole build,
     [build_workers] the number of domains that participated (pool
     workers plus the calling domain; 1 for a sequential build), and
     [build_seq_ms] the sequential-equivalent build time (the summed
     per-chunk wall clocks — what one domain would have paid), so
     [build_seq_ms /. build_ms] is the measured build speedup.  For
-    sequential builds [build_seq_ms = build_ms]; for non-dense caches
-    both report their idle defaults (workers 1, 0 ms).
+    sequential builds [build_seq_ms = build_ms]; a direct oracle
+    reports the idle defaults (workers 1, 0 ms).
 
     The memory fields report residency: [width_bits] is the dense
     element width from the {!Flat_table} ladder (16/32/64; 64 for the
-    boxed memoizer, 0 for ["direct"]), [bytes_resident] the bytes held
-    now (exact table bytes for ["dense"], an estimate for
-    ["memoize"]), and [bytes_peak] the cache's ceiling (equal to
-    resident for dense tables; the full-capacity estimate for the
-    memoizer).  [source] says where a dense table came from: ["built"]
-    (computed by oracle calls this process) or ["mmap"] (mapped from a
-    {!Table_cache} file — a warm load performs no oracle calls);
-    [""] for non-dense caches. *)
+    sparse index, 0 for ["direct"]), [bytes_resident] the bytes held now
+    ([cells · width_bits / 8] for ["dense"]), and [bytes_peak] the
+    cache's ceiling (equal to resident for both built rungs).  [source]
+    says where a dense table came from: ["built"] (computed this
+    process) or ["mmap"] (mapped from a {!Table_cache} file — a warm
+    load performs no oracle calls); [""] for the other rungs. *)
 type cache_stats = {
   kind : string;
-  hits : int;
-  misses : int;
-  probe_full : int;
-  slot_races : int;
   queries : int;
   cells : int;
   segments : int;
@@ -121,26 +105,26 @@ val cache_stats : t -> cache_stats
 (** [of_task_set ?pool ?policy ?max_bytes ts] is the MT-Switch oracle:
     [step_cost j lo hi = |U_j(lo,hi)|].
 
-    Under the dense rung (the [Auto] default while the projected
-    per-task tables fit [max_bytes], or forced with [Dense]) it
-    precomputes the per-task interval-union tables — in parallel on
-    [pool] across tasks (and across [lo] rows for single-task sets, via
-    {!Range_union.make}).  Without [pool], builds of at least
-    {!Flat_table.parallel_build_cells} cells run on the shared
-    {!Hr_util.Pool.default}; smaller ones stay sequential.  The tables
-    are elementwise identical either way.
+    Under the dense rung (the [Auto] default while the projected table
+    fits [max_bytes], or forced with [Dense]) it builds the one dense
+    table: m·n(n+1)/2 cells, filled by a prefix-union sweep per
+    (task, lo) row.  The rows build in parallel on [pool]; without
+    [pool], tables of at least 2¹⁵ cells build on the shared
+    {!Hr_util.Pool.default} and smaller ones stay sequential.  The
+    table is elementwise identical either way.  The oracle arrives
+    dense, so {!precompute} only writes it back to a {!Table_cache}.
 
     Under the sparse rung ([Sparse], or [Auto] above the budget) it
     builds one {!Occ_index} per task instead: O(n + requirement
     entries) build, memory linear in the run-length-compressed trace,
-    O(S log σ) queries — elementwise identical to the dense tables
+    O(S log σ) queries — elementwise identical to the dense table
     (property-tested), just slower per query.  This is what makes
-    10⁵-step traces feasible: their dense tables would need > 10 GiB.
+    10⁵-step traces feasible: their dense table would need > 10 GiB.
     [pool] is unused on this rung.  Sparse oracles are never densified
     by {!precompute} (solvers query them through [step_cost] as-is).
 
-    [max_bytes] (default {!default_max_bytes}) budgets the {e combined}
-    projected dense footprint, m·n²·3 bytes at the cheapest element
+    [max_bytes] (default {!default_max_bytes}) budgets the projected
+    dense footprint, m·n(n+1) bytes at the cheapest (16-bit) element
     width.  Either way the oracle carries {!task_set_fingerprint}[ ts]
     as its [fingerprint]. *)
 val of_task_set :
@@ -159,21 +143,21 @@ val of_single :
 val make : m:int -> n:int -> v:int array -> step_cost:(int -> int -> int -> int) -> t
 
 (** [task_set_fingerprint ts] is the structural hash (hex MD5) of
-    everything the MT-Switch dense tables are a function of: m, n, each
+    everything the MT-Switch dense table is a function of: m, n, each
     task's [v], local-space width, and every step requirement.  Equal
     task sets hash equal; any change to any requirement changes the
     hash.  This is the {!Table_cache} key used by {!of_task_set} /
     {!precompute}. *)
 val task_set_fingerprint : Task_set.t -> string
 
-(** [memoize t] caches [step_cost] results in a sharded lock-free table
-    (fixed capacity, compare-and-set inserts, plain atomic reads) — the
-    fallback cache for instances too large for {!precompute}.  Racing
-    solver domains never serialize on a lock; when a shard's probe
-    window is full, queries compute without caching, so memory stays
-    bounded while the hot triples keep their slots.  Prefer
-    {!precompute} whenever the dense table fits. *)
-val memoize : t -> t
+(** [of_weighted ?pool ~v ~weights ts] is the dense oracle of a
+    weighted switch model: the same sweep as {!of_task_set}'s dense rung,
+    but each cell sums [weights.(j).(x)] over the block union of task
+    [j] instead of counting it.  Always dense, whatever the size; it
+    carries no [fingerprint] (the weights are not in
+    {!task_set_fingerprint}).  {!Weighted} validates the weights. *)
+val of_weighted :
+  ?pool:Hr_util.Pool.t -> v:int array -> weights:int array array -> Task_set.t -> t
 
 (** The default [max_bytes] of {!precompute}: 128 MiB, the same ceiling
     the previous 16M-cell ([int array]) default imposed, but now
@@ -188,40 +172,39 @@ val default_max_bytes : int
 val value_bound : t -> int
 
 (** [precompute ?max_bytes ?cache ?pool t] materializes every
-    [step_cost j lo hi] into one flat dense {!Flat_table.t} in O(m·n²)
-    oracle calls.  Queries become lock-free O(1) reads of out-of-heap
-    storage, safe to share across domains (used by {!Solver.race} and
-    the parallel metaheuristics).  The element width (16/32/64 bits)
-    is picked from {!value_bound}; a custom oracle that violates the
-    documented monotonicity trips the checked writes and transparently
-    rebuilds at full width.
-
-    The independent (task, lo) rows build in parallel on [pool] —
-    defaulting to the shared {!Hr_util.Pool.default} for tables of at
-    least {!Flat_table.parallel_build_cells} cells, sequential below —
-    and the build records wall/sequential-equivalent times and worker
-    count in {!cache_stats}.
+    [step_cost j lo hi] with [lo <= hi] into the dense table, in
+    O(m·n²) oracle calls — the same layout and build routine as
+    {!of_task_set}'s dense rung.  Queries become lock-free O(1) reads of
+    out-of-heap storage, safe to share across domains (used by
+    {!Solver.race} and the parallel metaheuristics); a query outside
+    the triangle [0 <= lo <= hi < n] raises [Invalid_argument].  The
+    element width (16/32/64 bits) is picked from {!value_bound}; a
+    custom oracle that violates the documented monotonicity trips the
+    checked writes and transparently rebuilds at full width.  The build
+    runs on [pool] as in {!of_task_set}, and records wall and
+    sequential-equivalent times and the worker count in
+    {!cache_stats}.
 
     When the table would exceed [max_bytes] (default
-    {!default_max_bytes}) it falls back to {!memoize} — memory-bounded,
-    still lock-free.
+    {!default_max_bytes}) the oracle stays direct.
 
     With [cache] and an oracle that carries a [fingerprint], the table
     is first looked up in the persistent store — a hit [mmap]s the file
-    (no oracle calls, [cache_stats.source = "mmap"]) — and a freshly
-    built table is written back for the next process.
+    (no oracle calls, [cache_stats.source = "mmap"]) — and a table
+    built this process (here or by a constructor) is written back for
+    the next process.
 
-    Idempotent and free on an already-dense oracle — {!Problem.make}
-    calls it once per instance and every registered solver then shares
-    the same tables. *)
+    Free on a dense or sparse oracle apart from that write-back —
+    {!Problem.make} calls it once per instance and every registered
+    solver then shares the same table. *)
 val precompute :
   ?max_bytes:int -> ?cache:Table_cache.t -> ?pool:Hr_util.Pool.t -> t -> t
 
 (** [of_cache cache ~key ~m ~n ~v] constructs a dense oracle directly
     from a persistent table, skipping the input-side construction
-    entirely (for the switch model even {!of_task_set} is O(m·n²) —
-    the warm path must not pay it).  [None] on any cache miss; on a
-    hit the oracle's [step_cost] reads the mapped table and its
+    entirely (for the switch model {!of_task_set} is O(m·n²) — the warm
+    path must not pay it).  [None] on any cache miss; on a hit the
+    oracle's [step_cost] reads the mapped table and its
     [fingerprint] is [key].  The caller asserts that [key] was
     computed from the same inputs that determine [m], [n] and [v] —
     e.g. {!Hr_check.Case.oracle_key} derives all four from the case

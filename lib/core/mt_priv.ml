@@ -39,14 +39,17 @@ let segment_oracle t lo hi ~assignment =
   if Array.length assignment <> m then invalid_arg "Mt_priv.segment_oracle: arity";
   let len = hi - lo + 1 in
   let unions =
-    Array.init m (fun j -> Range_union.make (Trace.sub t.tasks.(j).local_trace lo hi))
+    Interval_cost.of_task_set
+      (Task_set.make
+         (Array.init m (fun j ->
+              Task_set.task ~name:(string_of_int j) (Trace.sub t.tasks.(j).local_trace lo hi))))
   in
   let v =
     Array.init m (fun j ->
         assignment.(j) + Switch_space.size (Trace.space t.tasks.(j).local_trace))
   in
   let step_cost j a b =
-    Range_union.size unions.(j) a b + peak_demand t j (lo + a) (lo + b)
+    unions.Interval_cost.step_cost j a b + peak_demand t j (lo + a) (lo + b)
   in
   Interval_cost.make ~m ~n:len ~v ~step_cost
 

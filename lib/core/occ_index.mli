@@ -1,8 +1,8 @@
 (** Sublinear interval-union queries via per-switch occurrence lists.
 
-    The dense {!Range_union} table answers |U(lo,hi)| in O(1) but costs
-    n(n+1)/2 cells — at n = 10⁵ that is billions of cells, far past any
-    memory budget.  This index stores, for each switch, the sorted list
+    The dense {!Interval_cost} table answers |U(lo,hi)| in O(1) but
+    costs n(n+1)/2 cells per task — at n = 10⁵ that is billions of
+    cells, far past any memory budget.  This index stores, for each switch, the sorted list
     of {e segments} (maximal runs of identical requirement steps, see
     {!Trace.segments}) in which it occurs.  Then
 
@@ -36,8 +36,8 @@ val length : t -> int
 val segments : t -> int
 
 (** [size t lo hi] is |U(lo,hi)| for [0 ≤ lo ≤ hi < n] — elementwise
-    identical to {!Range_union.size} on the same trace (property-tested
-    across the conformance corpus).  O(S log σ); increments the query
+    identical to the dense {!Interval_cost} table on the same trace
+    (property-tested across the conformance corpus).  O(S log σ); increments the query
     counter (thread-safe). *)
 val size : t -> int -> int -> int
 

@@ -56,8 +56,21 @@ let without_ext t = { t with ext = None }
 
 let of_task_set ?params ?mode ?machine_class ?oracle ?max_bytes ?cache_dir ?pool
     ts =
-  make ?params ?mode ?machine_class ?max_bytes ?cache_dir ?pool
-    (Interval_cost.of_task_set ?pool ?policy:oracle ?max_bytes ts)
+  let mk = make ?params ?mode ?machine_class ?max_bytes ?pool in
+  (* The constructor builds the dense table, so a stored one has to be
+     looked up before it; the cold build is written back by [make]. *)
+  let stored =
+    match (cache_dir, oracle) with
+    | None, _ | _, Some Interval_cost.Sparse -> None
+    | Some dir, _ ->
+        Interval_cost.of_cache (Table_cache.of_dir dir)
+          ~key:(Interval_cost.task_set_fingerprint ts)
+          ~m:(Task_set.num_tasks ts) ~n:(Task_set.steps ts)
+          ~v:(Array.map (fun task -> task.Task_set.v) (Task_set.tasks ts))
+  in
+  match stored with
+  | Some o -> mk o
+  | None -> mk ?cache_dir (Interval_cost.of_task_set ?pool ?policy:oracle ?max_bytes ts)
 
 let of_trace ?v ?params trace =
   let v = match v with Some v -> v | None -> Switch_space.size (Trace.space trace) in

@@ -17,7 +17,7 @@
 
     [make] runs {!Interval_cost.precompute} once, so every solver that
     touches the problem — including several racing in parallel —
-    shares the same lock-free dense oracle tables. *)
+    shares the same lock-free dense oracle table. *)
 
 (** The §3 machine classes.  [All_task] admits only uniform-column
     matrices (hyperreconfigure all tasks or none); [Partial] is
@@ -66,11 +66,10 @@ type t = {
     pool instead of the shared default.
 
     [max_bytes] caps the dense-table memory (default
-    {!Interval_cost.default_max_bytes}); over-budget oracles fall back
-    to the bounded memoizer.  [cache_dir] names a persistent
-    {!Table_cache} directory: the dense table is loaded from it when a
-    valid entry exists (no oracle calls) and stored into it after a
-    fresh build.  The cache key is the oracle's own structural
+    {!Interval_cost.default_max_bytes}); an over-budget custom oracle
+    stays direct.  [cache_dir] names a persistent {!Table_cache}
+    directory: the dense table is loaded from it when a valid entry
+    exists (no oracle calls) and stored into it after a fresh build.  The cache key is the oracle's own structural
     [fingerprint]; [cache_key] overrides it for oracles whose
     constructor could not derive one (the caller then asserts the key
     captures every input).
@@ -108,12 +107,13 @@ val without_ext : t -> t
 
 (** [of_task_set ?params ?mode ?machine_class ?oracle ?max_bytes
     ?cache_dir ?pool ts] — the MT-Switch instance of a task set;
-    [pool] parallelizes both the range-union and the dense-table build;
-    [max_bytes]/[cache_dir] as in {!make} (the cache key is
-    {!Interval_cost.task_set_fingerprint}).  [oracle] picks the rung of
-    the oracle ladder (see {!Interval_cost.policy}): [Auto] (the
-    default) builds dense tables while they fit [max_bytes] and the
-    sparse {!Occ_index} above it; a sparse oracle is never densified
+    [pool] parallelizes the dense-table build; [max_bytes]/[cache_dir]
+    as in {!make} (the cache key is
+    {!Interval_cost.task_set_fingerprint}, and a stored table is mapped
+    instead of built).  [oracle] picks the rung of the oracle ladder
+    (see {!Interval_cost.policy}): [Auto] (the default) builds the
+    dense table while it fits [max_bytes] and the sparse {!Occ_index}
+    above it; a sparse oracle is never densified
     and is solved through [step_cost] queries. *)
 val of_task_set :
   ?params:Sync_cost.params ->
@@ -138,7 +138,7 @@ val of_dag : ?params:Sync_cost.params -> Dag_model.t -> int array -> t
 
 (** [task t j] is the single-task subproblem of task [j] (same
     parameters; class and mode degenerate for m = 1).  The sub-oracle
-    reads the parent's precomputed tables — no rebuild.  Any extension
+    reads the parent's precomputed table — no rebuild.  Any extension
     is dropped: its cost term is a function of the full m-row
     matrix. *)
 val task : t -> int -> t

@@ -47,10 +47,8 @@ let plan_of_breaks trace breaks =
 
 let solve_trace ?v trace =
   let v = match v with Some v -> v | None -> Switch_space.size (Trace.space trace) in
-  let ru = Range_union.make trace in
-  let result =
-    solve ~v ~n:(Trace.length trace) ~step_cost:(fun lo hi -> Range_union.size ru lo hi)
-  in
+  let oracle = Interval_cost.of_single ~v trace in
+  let result = solve ~v ~n:(Trace.length trace) ~step_cost:(oracle.Interval_cost.step_cost 0) in
   (result, plan_of_breaks trace result.breaks)
 
 let solve_bounded ~v ~n ~step_cost ~max_blocks =

@@ -14,8 +14,8 @@
 
     {v f(0) = 0,  f(j) = min_{1 ≤ i ≤ j} f(i-1) + v + c(i,j)·(j-i+1) v}
 
-    is O(n²) oracle queries; with the {!Range_union} table behind the
-    oracle the whole solve is O(n²).  Optimality relies only on
+    is O(n²) oracle queries; with the dense {!Interval_cost} table
+    behind the oracle the whole solve is O(n²).  Optimality relies only on
     [step_cost] being interval-monotone, so the same solver is reused
     by the DAG and explicit-H general models. *)
 

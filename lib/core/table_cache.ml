@@ -17,7 +17,9 @@ type t = {
   errors : int Atomic.t;
 }
 
-let format_version = 1
+(* Version 2: the payload is the triangular dense layout (m·n(n+1)/2
+   cells); version-1 files held the square m·n² copy. *)
+let format_version = 2
 
 (* 8-byte magic: "HRTBL" + zero-padded format version.  Bumping
    [format_version] changes these bytes, so every older file fails the

@@ -1,6 +1,7 @@
 (** A persistent content-addressed store for dense oracle tables.
 
-    The O(m·n²) dense tables {!Interval_cost.precompute} materializes
+    The dense tables {!Interval_cost} builds (m·n(n+1)/2 cells, laid
+    out by {!Interval_cost}; this module stores them as flat payloads)
     are pure functions of the oracle inputs, so they can be spilled to
     disk once and reloaded — across batches, server restarts and bench
     runs — instead of being rebuilt.  A [Table_cache.t] is a directory
@@ -45,9 +46,9 @@ type stats = {
   errors : int;  (** contained I/O failures (store or mmap) *)
 }
 
-(** The on-disk format version, embedded in the file magic.  Bumping it
-    invalidates every existing entry (old files load as misses and are
-    rebuilt). *)
+(** The on-disk format version, embedded in the file magic: 2 since the
+    dense layout became triangular.  Bumping it invalidates every
+    existing entry (old files load as misses and are rebuilt). *)
 val format_version : int
 
 (** [of_dir dir] is the cache rooted at [dir], created (recursively) if

@@ -66,12 +66,18 @@ let json_to_string j =
 
 (* A recursive-descent parser for the same subset: enough to read back
    anything [json_to_string] emits (telemetry dumps, conformance-corpus
-   cases) without an external JSON dependency. *)
+   cases) without an external JSON dependency.  It recurses once per
+   open bracket, so the nesting depth is capped: the documents this
+   repository writes nest a handful of levels, and an unbounded depth
+   would let one hostile line grow the stack for seconds. *)
 exception Parse_error of string
+
+let max_json_depth = 512
 
 let json_of_string s =
   let len = String.length s in
   let pos = ref 0 in
+  let depth = ref 0 in
   let error msg = raise (Parse_error (Printf.sprintf "at byte %d: %s" !pos msg)) in
   let peek () = if !pos < len then Some s.[!pos] else None in
   let advance () = incr pos in
@@ -161,6 +167,12 @@ let json_of_string s =
       | Some i -> Int i
       | None -> error (Printf.sprintf "bad number %S" tok)
   in
+  let enter () =
+    incr depth;
+    if !depth > max_json_depth then
+      error (Printf.sprintf "nesting deeper than max_json_depth = %d" max_json_depth);
+    advance ()
+  in
   let rec parse_value () =
     skip_ws ();
     match peek () with
@@ -170,10 +182,11 @@ let json_of_string s =
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> String (parse_string ())
     | Some '[' ->
-        advance ();
+        enter ();
         skip_ws ();
         if peek () = Some ']' then begin
           advance ();
+          decr depth;
           List []
         end
         else
@@ -186,15 +199,17 @@ let json_of_string s =
                 items (v :: acc)
             | Some ']' ->
                 advance ();
+                decr depth;
                 List (List.rev (v :: acc))
             | _ -> error "expected ',' or ']'"
           in
           items []
     | Some '{' ->
-        advance ();
+        enter ();
         skip_ws ();
         if peek () = Some '}' then begin
           advance ();
+          decr depth;
           Obj []
         end
         else
@@ -215,6 +230,7 @@ let json_of_string s =
                 fields (kv :: acc)
             | Some '}' ->
                 advance ();
+                decr depth;
                 Obj (List.rev (kv :: acc))
             | _ -> error "expected ',' or '}'"
           in
@@ -350,10 +366,6 @@ let oracle_to_json (o : Interval_cost.cache_stats) =
   Obj
     [
       ("kind", String o.Interval_cost.kind);
-      ("hits", Int o.Interval_cost.hits);
-      ("misses", Int o.Interval_cost.misses);
-      ("probe_full", Int o.Interval_cost.probe_full);
-      ("slot_races", Int o.Interval_cost.slot_races);
       ("queries", Int o.Interval_cost.queries);
       ("cells", Int o.Interval_cost.cells);
       ("segments", Int o.Interval_cost.segments);
@@ -446,13 +458,12 @@ let pp fmt t =
     t.total_ms;
   Format.pp_print_newline fmt ();
   Format.fprintf fmt
-    "oracle cache: %s%s, %d hits / %d misses, %d cells (%d-bit, %d bytes)@."
+    "oracle cache: %s%s, %d queries, %d cells (%d-bit, %d bytes)@."
     t.oracle.Interval_cost.kind
     (if t.oracle.Interval_cost.source = "" then ""
      else " [" ^ t.oracle.Interval_cost.source ^ "]")
-    t.oracle.Interval_cost.hits t.oracle.Interval_cost.misses
-    t.oracle.Interval_cost.cells t.oracle.Interval_cost.width_bits
-    t.oracle.Interval_cost.bytes_resident;
+    t.oracle.Interval_cost.queries t.oracle.Interval_cost.cells
+    t.oracle.Interval_cost.width_bits t.oracle.Interval_cost.bytes_resident;
   Format.pp_print_string fmt
     (Hr_util.Tablefmt.render
        ~header:[ "solver"; "wall ms"; "outcome"; "cost"; "iterations" ]

@@ -4,8 +4,8 @@
     single solve: the instance, the seed and deadline, one
     {!Solver.report} per contestant (wall-clock, outcome, cost,
     iteration counters), the oracle-cache statistics
-    ({!Interval_cost.cache_stats}: memoizer hits/misses or dense
-    precompute cell counts), and the winner.  It serializes to a stable
+    ({!Interval_cost.cache_stats}: dense table cells and build times,
+    or sparse index queries), and the winner.  It serializes to a stable
     JSON document (schema {!schema_version}) consumed by the CI smoke
     test and external dashboards, and pretty-prints as a table for
     humans.
@@ -18,12 +18,12 @@
       "label": "race", "seed": 2004, "deadline_ms": 200 | null,
       "instance": { "m": 4, "n": 96, "summary": "m=4 n=96 partial ..." },
       "total_ms": 87.2,
-      "oracle_cache": { "kind": "dense" | "memoize" | "direct",
-                        "hits": 0, "misses": 0, "cells": 36864,
+      "oracle_cache": { "kind": "dense" | "sparse" | "direct",
+                        "queries": 0, "cells": 18624, "segments": 0,
                         "build_ms": 1.9, "build_workers": 9,
                         "build_seq_ms": 11.3, "build_speedup": 5.9 | null,
-                        "width_bits": 16, "bytes_resident": 73728,
-                        "bytes_peak": 73728,
+                        "width_bits": 16, "bytes_resident": 37248,
+                        "bytes_peak": 37248,
                         "source": "built" | "mmap" | null },
       "solvers": [ { "name": "ga", "kind": "stochastic",
                      "outcome": "finished" | "cut-off" | "crashed",
@@ -53,8 +53,13 @@ val json_to_string : json -> string
 (** [json_of_string s] parses a JSON document — the inverse of
     {!json_to_string} (numbers without [./e/E] load as [Int], others as
     [Float]; [\u] escapes decode to UTF-8).  Used to read telemetry
-    dumps and conformance-corpus cases back; never raises. *)
+    dumps and conformance-corpus cases back; never raises.  A document
+    nested deeper than {!max_json_depth} arrays and objects is an
+    [Error] naming the limit. *)
 val json_of_string : string -> (json, string) result
+
+(** The deepest array/object nesting {!json_of_string} accepts: 512. *)
+val max_json_depth : int
 
 type t = {
   label : string;  (** e.g. ["race"], ["portfolio"], a solver name *)

@@ -34,8 +34,8 @@ val reqs : t -> Hr_util.Bitset.t array
 val total_union : t -> Hr_util.Bitset.t
 
 (** [range_union t lo hi] is the union of requirements of steps
-    [lo..hi] inclusive.  O(hi-lo) — use {!Range_union} for repeated
-    queries. *)
+    [lo..hi] inclusive.  O(hi-lo) — use the dense
+    {!Interval_cost.of_single} table for repeated size queries. *)
 val range_union : t -> int -> int -> Hr_util.Bitset.t
 
 (** [sub t lo hi] is the sub-trace of steps [lo..hi] inclusive. *)

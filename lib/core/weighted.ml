@@ -12,38 +12,17 @@ let block_weight trace ~weights lo hi =
   check_weights ~width weights;
   Bitset.fold (fun x acc -> acc + weights.(x)) (Trace.range_union trace lo hi) 0
 
-(* Precompute weighted interval sums like Range_union but with
-   per-switch weights. *)
-let weighted_table trace weights =
-  let n = Trace.length trace in
-  Array.init n (fun lo ->
-      let row = Array.make (n - lo) 0 in
-      let acc = Bitset.copy (Trace.req trace lo) in
-      let weight_of set = Bitset.fold (fun x s -> s + weights.(x)) set 0 in
-      row.(0) <- weight_of acc;
-      for hi = lo + 1 to n - 1 do
-        ignore (Bitset.union_into ~into:acc (Trace.req trace hi));
-        row.(hi - lo) <- weight_of acc
-      done;
-      row)
-
 let oracle ts ~weights =
   let m = Task_set.num_tasks ts in
   if Array.length weights <> m then invalid_arg "Weighted.oracle: |weights| <> m";
-  let tables =
-    Array.init m (fun j ->
-        let trace = (Task_set.get ts j).Task_set.trace in
-        let width = Switch_space.size (Trace.space trace) in
-        check_weights ~width weights.(j);
-        weighted_table trace weights.(j))
-  in
-  let v = Array.init m (fun j -> Array.fold_left ( + ) 0 weights.(j)) in
-  Interval_cost.make ~m ~n:(Task_set.steps ts) ~v ~step_cost:(fun j lo hi ->
-      tables.(j).(lo).(hi - lo))
+  Array.iteri
+    (fun j w ->
+      check_weights ~width:(Switch_space.size (Trace.space (Task_set.get ts j).Task_set.trace)) w)
+    weights;
+  let v = Array.map (Array.fold_left ( + ) 0) weights in
+  Interval_cost.of_weighted ~v ~weights ts
 
 let single ~v trace ~weights =
-  let width = Switch_space.size (Trace.space trace) in
-  check_weights ~width weights;
-  let table = weighted_table trace weights in
-  Interval_cost.make ~m:1 ~n:(Trace.length trace) ~v:[| v |]
-    ~step_cost:(fun _ lo hi -> table.(lo).(hi - lo))
+  check_weights ~width:(Switch_space.size (Trace.space trace)) weights;
+  Interval_cost.of_weighted ~v:[| v |] ~weights:[| weights |]
+    (Task_set.single ~name:"task" trace)

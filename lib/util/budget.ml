@@ -1,6 +1,8 @@
-type t = No_limit | Deadline_ms of float (* absolute, Unix epoch ms *)
+type t = No_limit | Deadline_ms of float (* absolute, on the [now_ms] clock *)
 
-let now_ms () = Unix.gettimeofday () *. 1000.
+(* CLOCK_MONOTONIC: a wall-clock step (NTP, a manual date change) can
+   neither expire nor stretch a live budget. *)
+let now_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1e6
 
 let unlimited = No_limit
 

@@ -1,4 +1,4 @@
-(** Cooperative wall-clock budgets for anytime optimization.
+(** Cooperative time budgets for anytime optimization.
 
     A [Budget.t] is a deadline that long-running solvers poll between
     iterations (GA generations, annealing steps, DP levels, descent
@@ -36,6 +36,9 @@ val is_limited : t -> bool
     slice is capped by a batch-global deadline ({!Hr_core.Batch}). *)
 val earliest : t -> t -> t
 
-(** [now_ms ()] — the wall clock in milliseconds (arbitrary epoch).
-    The common timebase for solver telemetry. *)
+(** [now_ms ()] — the monotonic clock ([CLOCK_MONOTONIC], read through
+    [bechamel.monotonic_clock]) in milliseconds since an arbitrary
+    epoch: never steps back or jumps with the wall clock.  The common
+    timebase for deadlines and solver telemetry; only differences of
+    two readings mean anything. *)
 val now_ms : unit -> float

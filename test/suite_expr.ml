@@ -298,8 +298,9 @@ let test_frontier_shape () =
     Hr_core.Trace.of_lists (Hr_core.Switch_space.make 4)
       [ [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 2 ]; [ 3 ]; [ 2; 3 ] ]
   in
-  let ru = Hr_core.Range_union.make trace in
-  let step_cost lo hi = Hr_core.Range_union.size ru lo hi in
+  let step_cost =
+    (Hr_core.Interval_cost.of_single ~v:2 trace).Hr_core.Interval_cost.step_cost 0
+  in
   let front = Hr_core.St_opt.frontier ~v:2 ~n:6 ~step_cost in
   (* Strictly improving costs, ascending budgets; tail = optimum. *)
   let costs = List.map snd front in

@@ -468,7 +468,11 @@ let test_telemetry_golden () =
      the failing test dumps the new document to
      [/tmp/telemetry_got.json]; review it and replace
      [test/golden/telemetry.json]. *)
-  let oracle = Interval_cost.of_task_set (Tutil.sample_task_set ()) in
+  let dense = Interval_cost.of_task_set (Tutil.sample_task_set ()) in
+  let oracle =
+    Interval_cost.make ~m:dense.Interval_cost.m ~n:dense.Interval_cost.n
+      ~v:dense.Interval_cost.v ~step_cost:dense.Interval_cost.step_cost
+  in
   let problem = Problem.make ~precompute:false oracle in
   let greedy = Solver_registry.find_exn "greedy" in
   let sol = Solver.solve ~seed:42 greedy problem in
@@ -511,26 +515,42 @@ let test_telemetry_golden () =
       check bool "parser inverts the emitter" true
         (Telemetry.json_to_string j = got)
 
+(* Every document the repository writes or reads nests a few levels, so
+   all of them parse under the nesting cap; a 1 M-deep line is refused
+   at the cap with an error that names it, in time linear in the cap. *)
+let test_json_nesting_limit () =
+  let parses path =
+    match Telemetry.json_of_string (read_file path) with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s does not parse: %s" path e
+  in
+  List.iter parses
+    ("../BENCHMARK.json"
+    :: List.concat_map
+         (fun dir ->
+           List.map (Filename.concat dir)
+             (List.filter
+                (fun f -> Filename.check_suffix f ".json")
+                (Array.to_list (Sys.readdir dir))))
+         [ "corpus"; "golden" ]);
+  let nested d = String.make d '[' ^ String.make d ']' in
+  let limit = Telemetry.max_json_depth in
+  check bool "nesting at the limit parses" true
+    (Result.is_ok (Telemetry.json_of_string (nested limit)));
+  List.iter
+    (fun line ->
+      match Telemetry.json_of_string line with
+      | Ok _ -> Alcotest.fail "over-deep document parsed"
+      | Error e ->
+          check bool ("error names the limit: " ^ e) true (contains e "max_json_depth"))
+    [
+      nested (limit + 1);
+      String.make 1_000_000 '[';
+      String.concat "" (List.init 500_000 (fun _ -> "{\"a\":"));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* The flat-state DP engine and the parallel oracle precompute.        *)
-
-let test_memoize_reports_resident_entries () =
-  (* cache_stats.cells must be the number of entries resident in the
-     sharded table, not a copy of the miss counter: 3 repeat queries on
-     one key and 2 on another are 3 hits / 2 misses / 2 cells. *)
-  let oracle =
-    Interval_cost.memoize (Interval_cost.of_task_set (Tutil.sample_task_set ()))
-  in
-  let q lo hi = ignore (oracle.Interval_cost.step_cost 0 lo hi) in
-  q 0 0;
-  q 0 0;
-  q 0 0;
-  q 0 1;
-  q 0 1;
-  let s = Interval_cost.cache_stats oracle in
-  check int "hits" 3 s.Interval_cost.hits;
-  check int "misses" 2 s.Interval_cost.misses;
-  check int "cells = resident entries, not misses" 2 s.Interval_cost.cells
 
 let test_pooled_precompute_matches_sequential () =
   (* The pooled dense build must be elementwise identical to the
@@ -566,7 +586,7 @@ let test_pooled_precompute_matches_sequential () =
       done;
       let s = Interval_cost.cache_stats pooled in
       check bool "dense" true (s.Interval_cost.kind = "dense");
-      check int "cells" (m * n * n) s.Interval_cost.cells)
+      check int "cells" (m * n * (n + 1) / 2) s.Interval_cost.cells)
 
 let test_budget_polled_within_dp_level () =
   (* A 35^4 ~ 1.5M-state initial expansion takes far longer than 1 ms,
@@ -688,9 +708,8 @@ let tests =
     Alcotest.test_case "deadline cut-off stays admissible" `Quick
       test_deadline_cutoff_returns_admissible_best_so_far;
     Alcotest.test_case "telemetry JSON shape" `Quick test_telemetry_json_shape;
+    Alcotest.test_case "JSON nesting limit" `Quick test_json_nesting_limit;
     Alcotest.test_case "telemetry JSON golden" `Quick test_telemetry_golden;
-    Alcotest.test_case "memoize stats report resident entries" `Quick
-      test_memoize_reports_resident_entries;
     Alcotest.test_case "pooled precompute == sequential" `Quick
       test_pooled_precompute_matches_sequential;
     Alcotest.test_case "budget polled within a DP level" `Quick

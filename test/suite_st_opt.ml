@@ -46,8 +46,7 @@ let test_cost_of_breaks_matches_dp () =
   let trace =
     Trace.of_lists space4 [ [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 2 ]; [ 3 ]; [ 2; 3 ] ]
   in
-  let ru = Range_union.make trace in
-  let step_cost lo hi = Range_union.size ru lo hi in
+  let step_cost = Tutil.union_sizes trace in
   let r = St_opt.solve ~v:2 ~n:6 ~step_cost in
   check int "re-evaluated"
     (St_opt.cost_of_breaks ~v:2 ~n:6 ~step_cost r.St_opt.breaks)
@@ -68,8 +67,7 @@ let qcheck_dp_optimal =
     Tutil.show_st_instance
     (fun inst ->
       let trace = Tutil.trace_of_st inst in
-      let ru = Range_union.make trace in
-      let step_cost lo hi = Range_union.size ru lo hi in
+      let step_cost = Tutil.union_sizes trace in
       let n = Trace.length trace in
       let dp = St_opt.solve ~v:inst.Tutil.v ~n ~step_cost in
       let brute = Brute.single ~v:inst.Tutil.v ~n ~step_cost in
@@ -103,8 +101,7 @@ let qcheck_dp_no_worse_than_heuristics =
     Tutil.show_st_instance
     (fun inst ->
       let trace = Tutil.trace_of_st inst in
-      let ru = Range_union.make trace in
-      let step_cost lo hi = Range_union.size ru lo hi in
+      let step_cost = Tutil.union_sizes trace in
       let n = Trace.length trace in
       let dp = St_opt.solve ~v:inst.Tutil.v ~n ~step_cost in
       let never = St_opt.cost_of_breaks ~v:inst.Tutil.v ~n ~step_cost [ 0 ] in
@@ -119,8 +116,7 @@ let qcheck_bounded_matches_brute =
     Tutil.show_st_instance
     (fun inst ->
       let trace = Tutil.trace_of_st inst in
-      let ru = Range_union.make trace in
-      let step_cost lo hi = Range_union.size ru lo hi in
+      let step_cost = Tutil.union_sizes trace in
       let n = Trace.length trace in
       let v = inst.Tutil.v in
       List.for_all

@@ -121,10 +121,8 @@ let qcheck_m1_reduces_to_single_task =
       let breaks =
         List.filter (fun i -> Breakpoints.is_break bp 0 i) (List.init n Fun.id)
       in
-      let ru = Range_union.make trace in
       let st =
-        St_opt.cost_of_breaks ~v:inst.Tutil.v ~n
-          ~step_cost:(fun lo hi -> Range_union.size ru lo hi)
+        St_opt.cost_of_breaks ~v:inst.Tutil.v ~n ~step_cost:(Tutil.union_sizes trace)
           breaks
       in
       Sync_cost.eval oracle bp = st)

@@ -1,8 +1,8 @@
 (* Flat Bigarray oracle tables and the persistent content-addressed
    table cache: width ladder, overflow checking, elementwise identity
-   with the reference in-heap path, memory-budget fallback, on-disk
-   round-trips, corruption/staleness recovery, concurrent writers, and
-   the cache-served Problem path. *)
+   with naive unions, the memory budget, on-disk round-trips,
+   corruption/staleness recovery, concurrent writers, and the
+   cache-served Problem path. *)
 
 open Hr_core
 module Bitset = Hr_util.Bitset
@@ -63,9 +63,9 @@ let test_set_get_overflow () =
       Flat_table.set t32 0 (Int32.to_int Int32.max_int + 1)))
 
 let test_dense_matches_reference () =
-  (* The Bigarray-backed dense oracle must agree cell-for-cell with the
-     reference in-heap computation (the old int-array path): naive
-     bitset unions per (j, lo, hi). *)
+  (* The Bigarray-backed dense oracle must agree cell-for-cell with
+     naive bitset unions per (j, lo, hi), and hold exactly the
+     m·n(n+1)/2 cells with lo <= hi. *)
   let ts = Tutil.sample_task_set () in
   let dense = Interval_cost.precompute (Interval_cost.of_task_set ts) in
   let m = Task_set.num_tasks ts and n = Task_set.steps ts in
@@ -85,8 +85,8 @@ let test_dense_matches_reference () =
   check Alcotest.string "dense" "dense" s.Interval_cost.kind;
   check Alcotest.string "built in-process" "built" s.Interval_cost.source;
   check Alcotest.int "16-bit cells suffice" 16 s.Interval_cost.width_bits;
-  check Alcotest.int "cells = m*n*n" (m * n * n) s.Interval_cost.cells;
-  check Alcotest.int "resident bytes = 2 per cell" (2 * m * n * n)
+  check Alcotest.int "cells = m*n(n+1)/2" (m * n * (n + 1) / 2) s.Interval_cost.cells;
+  check Alcotest.int "bytes = cells * width/8" (s.Interval_cost.cells * 16 / 8)
     s.Interval_cost.bytes_resident
 
 let test_range_union_matches_naive () =
@@ -101,38 +101,36 @@ let test_range_union_matches_naive () =
   in
   let ts = Tutil.task_set_of_instance inst in
   let trace = (Task_set.get ts 0).Task_set.trace in
-  let ru = Range_union.make trace in
+  let oracle = Interval_cost.of_single ~v:2 trace in
   for lo = 0 to 6 do
     for hi = lo to 6 do
       check Alcotest.int
         (Printf.sprintf "|U(%d,%d)|" lo hi)
         (Bitset.cardinal (Trace.range_union trace lo hi))
-        (Range_union.size ru lo hi)
+        (oracle.Interval_cost.step_cost 0 lo hi)
     done
   done;
   check Alcotest.int "triangular table size" (7 * 8 / 2)
-    (Flat_table.length (Range_union.table ru))
+    (Interval_cost.cache_stats oracle).Interval_cost.cells
 
-let test_max_bytes_fallback () =
-  (* Over the byte budget the oracle degrades to the memoizer instead
-     of allocating the table; stats report the fallback. *)
-  let raw = Interval_cost.of_task_set (Tutil.sample_task_set ()) in
-  let memo = Interval_cost.precompute ~max_bytes:8 raw in
-  let s = Interval_cost.cache_stats memo in
-  check Alcotest.string "fell back to memoize" "memoize" s.Interval_cost.kind;
-  check Alcotest.int "boxed entries are word-sized" 64 s.Interval_cost.width_bits;
-  ignore (memo.Interval_cost.step_cost 0 0 4);
-  let s = Interval_cost.cache_stats memo in
-  check Alcotest.bool "memoizer accounts resident bytes" true
-    (s.Interval_cost.bytes_resident > 0
-    && s.Interval_cost.bytes_peak >= s.Interval_cost.bytes_resident);
-  (* And the fallback answers are still the oracle's. *)
+let test_max_bytes_keeps_direct () =
+  (* Over the byte budget a custom oracle is not materialized: it stays
+     direct and answers through its own step_cost. *)
+  let base = Interval_cost.of_task_set (Tutil.sample_task_set ()) in
+  let raw =
+    Interval_cost.make ~m:base.Interval_cost.m ~n:base.Interval_cost.n
+      ~v:base.Interval_cost.v ~step_cost:base.Interval_cost.step_cost
+  in
+  let kind o = (Interval_cost.cache_stats o).Interval_cost.kind in
+  let tight = Interval_cost.precompute ~max_bytes:8 raw in
+  check Alcotest.string "stays direct" "direct" (kind tight);
+  check Alcotest.string "fits -> dense" "dense" (kind (Interval_cost.precompute raw));
   for lo = 0 to 4 do
     for hi = lo to 4 do
       check Alcotest.int
-        (Printf.sprintf "memoized (%d,%d)" lo hi)
-        (raw.Interval_cost.step_cost 1 lo hi)
-        (memo.Interval_cost.step_cost 1 lo hi)
+        (Printf.sprintf "direct (%d,%d)" lo hi)
+        (base.Interval_cost.step_cost 1 lo hi)
+        (tight.Interval_cost.step_cost 1 lo hi)
     done
   done
 
@@ -236,6 +234,35 @@ let test_version_stale () =
         (Table_cache.load cache ~key:"v" ~cells:16 = None);
       check Alcotest.int "counted invalid" 1
         (Table_cache.stats cache).Table_cache.invalid)
+
+(* A file from format version 1 — the square m·n² layout under the
+   magic "HRTBL001", otherwise well-formed — sits under the key a
+   current build uses: it must count as invalid and be rebuilt. *)
+let test_format_1_rebuilt () =
+  with_cache_dir (fun dir ->
+      let ts = Tutil.sample_task_set () in
+      let m = Task_set.num_tasks ts and n = Task_set.steps ts in
+      let cache = Table_cache.of_dir dir in
+      let path = Table_cache.file cache ~key:(Interval_cost.task_set_fingerprint ts) in
+      let payload = String.make (m * n * n * 2) '\000' in
+      let hdr = Bytes.make 64 '\000' in
+      Bytes.blit_string "HRTBL001" 0 hdr 0 8;
+      Bytes.set hdr 8 (Char.chr 16);
+      Bytes.set hdr 9 (if Sys.big_endian then '\002' else '\001');
+      Bytes.set_int64_le hdr 16 (Int64.of_int (m * n * n));
+      Bytes.blit_string (Digest.string payload) 0 hdr 24 16;
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_bytes oc hdr;
+          Out_channel.output_string oc payload);
+      let source () =
+        (Interval_cost.cache_stats (Problem.of_task_set ~cache_dir:dir ts).Problem.oracle)
+          .Interval_cost.source
+      in
+      check Alcotest.string "format-1 file is rebuilt" "built" (source ());
+      let s = Table_cache.stats cache in
+      check Alcotest.int "counted invalid" 1 s.Table_cache.invalid;
+      check Alcotest.int "rebuilt table stored" 1 s.Table_cache.stores;
+      check Alcotest.string "then served from the file" "mmap" (source ()))
 
 let test_bad_keys_rejected () =
   with_cache_dir (fun dir ->
@@ -361,14 +388,15 @@ let tests =
       test_dense_matches_reference;
     Alcotest.test_case "range union = naive unions" `Quick
       test_range_union_matches_naive;
-    Alcotest.test_case "max_bytes falls back to memoize" `Quick
-      test_max_bytes_fallback;
+    Alcotest.test_case "max_bytes keeps custom oracle direct" `Quick
+      test_max_bytes_keeps_direct;
     Alcotest.test_case "round trip per width" `Quick test_round_trip_widths;
     Alcotest.test_case "absent / wrong-cells misses" `Quick
       test_miss_absent_and_wrong_cells;
     Alcotest.test_case "corrupt file recovery" `Quick test_corrupt_recovery;
     Alcotest.test_case "truncated file recovery" `Quick test_truncated_recovery;
     Alcotest.test_case "stale version misses" `Quick test_version_stale;
+    Alcotest.test_case "format-1 file rebuilt" `Quick test_format_1_rebuilt;
     Alcotest.test_case "invalid keys rejected" `Quick test_bad_keys_rejected;
     Alcotest.test_case "concurrent writers race safely" `Quick
       test_concurrent_writers;

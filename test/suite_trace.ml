@@ -1,4 +1,4 @@
-(* Switch_space, Trace, Range_union, Hypercontext, Task_set. *)
+(* Switch_space, Trace, interval-union sizes, Hypercontext, Task_set. *)
 
 open Hr_core
 module Bitset = Hr_util.Bitset
@@ -32,13 +32,13 @@ let test_trace_width_check () =
 
 let test_range_union_values () =
   let t = mk [ [ 0 ]; [ 1 ]; [ 0; 2 ]; [ 3 ] ] in
-  let ru = Range_union.make t in
-  check int "[0,0]" 1 (Range_union.size ru 0 0);
-  check int "[0,1]" 2 (Range_union.size ru 0 1);
-  check int "[0,2]" 3 (Range_union.size ru 0 2);
-  check int "[0,3]" 4 (Range_union.size ru 0 3);
-  check int "[1,2]" 3 (Range_union.size ru 1 2);
-  check int "[2,3]" 3 (Range_union.size ru 2 3)
+  let size = (Interval_cost.of_single ~v:0 t).Interval_cost.step_cost 0 in
+  check int "[0,0]" 1 (size 0 0);
+  check int "[0,1]" 2 (size 0 1);
+  check int "[0,2]" 3 (size 0 2);
+  check int "[0,3]" 4 (size 0 3);
+  check int "[1,2]" 3 (size 1 2);
+  check int "[2,3]" 3 (size 2 3)
 
 let test_range_union_matches_naive () =
   let rng = Rng.create 17 in
@@ -47,12 +47,12 @@ let test_range_union_matches_naive () =
         List.filter (fun _ -> Rng.bool rng) (List.init 8 Fun.id))
   in
   let t = mk reqs in
-  let ru = Range_union.make t in
+  let size = (Interval_cost.of_single ~v:0 t).Interval_cost.step_cost 0 in
   let n = Trace.length t in
   for lo = 0 to n - 1 do
     for hi = lo to n - 1 do
       let naive = Bitset.cardinal (Trace.range_union t lo hi) in
-      if Range_union.size ru lo hi <> naive then
+      if size lo hi <> naive then
         Alcotest.failf "mismatch at [%d,%d]" lo hi
     done
   done

@@ -257,6 +257,17 @@ let test_budget_earliest () =
   let l = left (Budget.of_deadline_ms 2000) in
   Alcotest.(check bool) "min deadline wins" true (l <= 2000. && l > 1000.)
 
+(* Deadlines and timings read CLOCK_MONOTONIC, so a wall-clock step
+   cannot expire or stretch a live budget. *)
+let test_budget_monotonic_clock () =
+  let before = Budget.now_ms () in
+  let mono = Int64.to_float (Monotonic_clock.now ()) /. 1e6 in
+  let after = Budget.now_ms () in
+  Alcotest.(check bool)
+    (Printf.sprintf "now_ms %.3f..%.3f brackets Monotonic_clock.now %.3f" before after mono)
+    true
+    (before <= mono +. 1. && mono <= after +. 1. && after -. before < 1.)
+
 let test_cli_enum () =
   let options = [ ("single", 1); ("four", 4) ] in
   Alcotest.(check int) "known" 4 (Cli.enum_exn ~what:"split" options "four");
@@ -296,5 +307,7 @@ let tests =
     Alcotest.test_case "pool default recreated after shutdown" `Quick
       test_pool_default_recreated_after_shutdown;
     Alcotest.test_case "budget earliest" `Quick test_budget_earliest;
+    Alcotest.test_case "budget on the monotonic clock" `Quick
+      test_budget_monotonic_clock;
     Alcotest.test_case "cli enum strict" `Quick test_cli_enum;
   ]

@@ -16,8 +16,7 @@ let qcheck_bounded_matches_unbounded_at_n =
     Tutil.show_st_instance
     (fun inst ->
       let trace = Tutil.trace_of_st inst in
-      let ru = Range_union.make trace in
-      let step_cost lo hi = Range_union.size ru lo hi in
+      let step_cost = Tutil.union_sizes trace in
       let n = Trace.length trace in
       let free = St_opt.solve ~v:inst.Tutil.v ~n ~step_cost in
       let bounded = St_opt.solve_bounded ~v:inst.Tutil.v ~n ~step_cost ~max_blocks:n in
@@ -29,8 +28,7 @@ let qcheck_bounded_monotone_in_budget =
     Tutil.show_st_instance
     (fun inst ->
       let trace = Tutil.trace_of_st inst in
-      let ru = Range_union.make trace in
-      let step_cost lo hi = Range_union.size ru lo hi in
+      let step_cost = Tutil.union_sizes trace in
       let n = Trace.length trace in
       let costs =
         List.init n (fun k ->
@@ -50,8 +48,7 @@ let qcheck_bounded_respects_budget =
     (fun (inst, k) -> Tutil.show_st_instance inst ^ Printf.sprintf " k=%d" k)
     (fun (inst, k) ->
       let trace = Tutil.trace_of_st inst in
-      let ru = Range_union.make trace in
-      let step_cost lo hi = Range_union.size ru lo hi in
+      let step_cost = Tutil.union_sizes trace in
       let n = Trace.length trace in
       let r = St_opt.solve_bounded ~v:inst.Tutil.v ~n ~step_cost ~max_blocks:k in
       List.length r.St_opt.breaks <= k
@@ -60,10 +57,8 @@ let qcheck_bounded_respects_budget =
 
 let test_bounded_one_block () =
   let trace = Tutil.trace_of_st { Tutil.width = 4; v = 1; steps = [ [ 0 ]; [ 1 ]; [ 2 ] ] } in
-  let ru = Range_union.make trace in
   let r =
-    St_opt.solve_bounded ~v:1 ~n:3
-      ~step_cost:(fun lo hi -> Range_union.size ru lo hi)
+    St_opt.solve_bounded ~v:1 ~n:3 ~step_cost:(Tutil.union_sizes trace)
       ~max_blocks:1
   in
   check int "forced single block" (1 + (3 * 3)) r.St_opt.cost;

@@ -42,6 +42,9 @@ let task_set_of_instance inst =
 
 let oracle_of_instance inst = Interval_cost.of_task_set (task_set_of_instance inst)
 
+(* [union_sizes trace lo hi] = |U(lo,hi)|, read from the dense table. *)
+let union_sizes trace = (Interval_cost.of_single ~v:0 trace).Interval_cost.step_cost 0
+
 (* QCheck generator for instances small enough for Brute.multi:
    (n-1)*m <= 12. *)
 let gen_mt_instance ~max_m ~max_n ~max_width =
