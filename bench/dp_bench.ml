@@ -357,7 +357,7 @@ let () =
     time_best ~reps:1 (fun () ->
         Interval_cost.of_task_set ~policy:Interval_cost.Sparse lts)
   in
-  let dense_projected_bytes = large_m * large_n * (large_n + 1) in
+  let dense_projected_bytes = Interval_cost.projected_dense_bytes ~m:large_m ~n:large_n in
   let greedy, greedy_ms =
     time_best ~reps:1 (fun () -> Mt_greedy.best sparse_oracle)
   in

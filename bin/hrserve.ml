@@ -344,7 +344,8 @@ let max_table_mb =
           "Per-instance dense-table memory cap in MiB (a positive integer; \
            default 128).  A switch-model table takes m·n(n+1) bytes at 16 \
            bits; instances whose table would exceed it use the sparse index \
-           (switch cases) or stay uncached (other models).")
+           (switch cases) or stay uncached (DAG cases).  Weighted-switch \
+           tables have no sparse form and are always built.")
 
 let max_lru_mb =
   Arg.(

@@ -56,12 +56,13 @@ let oracle_v t =
       Array.map (Array.fold_left ( + ) 0) weights
   | Dag { w; _ } -> [| w |]
 
-let build_oracle ?policy t =
+let build_oracle ?policy ?max_bytes t =
   match t.spec with
   | Switch { widths; vs; reqs } ->
-      Interval_cost.of_task_set ?policy (task_set widths vs reqs)
+      Interval_cost.of_task_set ?policy ?max_bytes (task_set widths vs reqs)
   | Weighted { widths; reqs; weights } ->
-      (* The task-set vs are placeholders; see [oracle_v]. *)
+      (* The task-set vs are placeholders; see [oracle_v].  The weighted
+         table is always built: there is no sparse weighted rung. *)
       let vs = Array.map (fun _ -> 0) widths in
       Weighted.oracle (task_set widths vs reqs) ~weights
   | Dag { num_contexts; w; costs; sat_sizes; seq } ->
@@ -199,9 +200,9 @@ let problem ?max_table_bytes ?cache_dir ?oracle t =
     (* A forced-sparse oracle never touches the dense table cache —
        neither the warm mmap path nor the write-back make sense for an
        index that is rebuilt in O(input). *)
-    | Some Interval_cost.Sparse, _ ->
-        mk ?max_bytes:max_table_bytes (build_oracle ?policy:oracle t)
-    | _, None -> mk ?max_bytes:max_table_bytes (build_oracle ?policy:oracle t)
+    | Some Interval_cost.Sparse, _ | _, None ->
+        mk ?max_bytes:max_table_bytes
+          (build_oracle ?policy:oracle ?max_bytes:max_table_bytes t)
     | _, Some dir -> (
         let cache = Table_cache.of_dir dir in
         let key = oracle_key t in
@@ -213,7 +214,7 @@ let problem ?max_table_bytes ?cache_dir ?oracle t =
         | Some oracle -> mk oracle
         | None ->
             mk ?max_bytes:max_table_bytes ~cache_dir:dir ~cache_key:key
-              (build_oracle ?policy:oracle t)))
+              (build_oracle ?policy:oracle ?max_bytes:max_table_bytes t)))
 
 (* ------------------------------------------------------------------ *)
 (* JSON decoding with validation.  Everything funnels through [check]

@@ -58,7 +58,10 @@ val n : t -> int
 
 (** [problem ?max_table_bytes ?cache_dir ?oracle t] builds the instance
     (precomputed oracle).  [max_table_bytes] caps the dense-table
-    memory ({!Hr_core.Problem.make}'s [max_bytes]).  With [cache_dir]
+    memory: over it a switch case gets the sparse index under the
+    [Auto] policy and a DAG oracle stays direct
+    ({!Hr_core.Problem.make}'s [max_bytes]); a weighted table has no
+    sparse form and is always built.  With [cache_dir]
     the dense table is served from the persistent
     {!Hr_core.Table_cache} under {!oracle_key} when a valid entry
     exists — skipping even the oracle construction, so a warm build

@@ -233,9 +233,9 @@ let dense_of_task_set ?pool ts =
     ~fingerprint:(Some (task_set_fingerprint ts))
     (sweep ?pool ts ~measure:(fun _ acc -> Bitset.cardinal acc))
 
-let of_weighted ?pool ~v ~weights ts =
+let of_weighted ~v ~weights ts =
   dense ~m:(Task_set.num_tasks ts) ~n:(Task_set.steps ts) ~v ~fingerprint:None
-    (sweep ?pool ts ~measure:(fun j acc ->
+    (sweep ts ~measure:(fun j acc ->
          let w = weights.(j) in
          Bitset.fold (fun x s -> s + w.(x)) acc 0))
 

@@ -150,14 +150,20 @@ val make : m:int -> n:int -> v:int array -> step_cost:(int -> int -> int -> int)
     {!precompute}. *)
 val task_set_fingerprint : Task_set.t -> string
 
-(** [of_weighted ?pool ~v ~weights ts] is the dense oracle of a
-    weighted switch model: the same sweep as {!of_task_set}'s dense rung,
-    but each cell sums [weights.(j).(x)] over the block union of task
-    [j] instead of counting it.  Always dense, whatever the size; it
-    carries no [fingerprint] (the weights are not in
-    {!task_set_fingerprint}).  {!Weighted} validates the weights. *)
-val of_weighted :
-  ?pool:Hr_util.Pool.t -> v:int array -> weights:int array array -> Task_set.t -> t
+(** [of_weighted ~v ~weights ts] is the dense oracle of a weighted
+    switch model: the same sweep as {!of_task_set}'s dense rung, but
+    each cell sums [weights.(j).(x)] over the block union of task [j]
+    instead of counting it.  Always dense, whatever the size (there is
+    no sparse weighted rung, so no byte budget applies); it carries no
+    [fingerprint] (the weights are not in {!task_set_fingerprint}).
+    {!Weighted} validates the weights. *)
+val of_weighted : v:int array -> weights:int array array -> Task_set.t -> t
+
+(** [projected_dense_bytes ~m ~n] is m·n(n+1): the bytes of the dense
+    table of [m] tasks over [n] steps at the cheapest (16-bit) element
+    width — the figure {!of_task_set}'s [Auto] policy compares against
+    its [max_bytes]. *)
+val projected_dense_bytes : m:int -> n:int -> int
 
 (** The default [max_bytes] of {!precompute}: 128 MiB, the same ceiling
     the previous 16M-cell ([int array]) default imposed, but now

@@ -242,8 +242,7 @@ let test_dense_sparse_plans_identical () =
   done
 
 (* The dense projection is the one table at 16 bits: m·n(n+1) bytes,
-   1640 for m = 1, n = 40 (the old two-table projection, 3·m·n², was
-   4800). *)
+   1640 for m = 1, n = 40. *)
 let test_auto_policy_picks_rung () =
   let rng = Rng.create 99 in
   let ts =

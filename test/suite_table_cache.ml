@@ -354,6 +354,41 @@ let test_case_warm_path () =
             (Breakpoints.equal a.Solution.bp b.Solution.bp))
         (Hr_check.Corpus.load_dir "corpus"))
 
+(* Case.problem hands max_table_bytes to the switch constructor, so an
+   over-cap switch case gets the sparse index, cold or through a cache
+   directory (which then stores nothing); a weighted table has no sparse
+   form and is built whatever the cap. *)
+let test_case_max_table_bytes () =
+  let reqs = [| [ [ 0 ]; [ 1 ]; [ 0; 1 ] ]; [ [ 2 ]; []; [ 0 ] ] |] in
+  let case spec =
+    {
+      Hr_check.Case.spec;
+      params = Sync_cost.default_params;
+      mode = Mixed_sync.Fully_synchronized;
+      machine_class = Problem.Partial;
+      place = None;
+    }
+  in
+  let switch = case (Switch { widths = [| 2; 3 |]; vs = [| 1; 1 |]; reqs }) in
+  let weighted =
+    case (Weighted { widths = [| 2; 3 |]; reqs; weights = [| [| 1; 2 |]; [| 1; 1; 3 |] |] })
+  in
+  let kind ?cache_dir ?max_table_bytes c =
+    (Interval_cost.cache_stats
+       (Hr_check.Case.problem ?max_table_bytes ?cache_dir c).Problem.oracle)
+      .Interval_cost.kind
+  in
+  check Alcotest.string "switch within the cap -> dense" "dense" (kind switch);
+  check Alcotest.string "switch over the cap -> sparse" "sparse"
+    (kind ~max_table_bytes:8 switch);
+  check Alcotest.string "weighted over the cap -> dense" "dense"
+    (kind ~max_table_bytes:8 weighted);
+  with_cache_dir (fun dir ->
+      check Alcotest.string "switch over the cap, cache dir -> sparse" "sparse"
+        (kind ~cache_dir:dir ~max_table_bytes:8 switch);
+      check Alcotest.int "nothing stored" 0
+        (Table_cache.stats (Table_cache.of_dir dir)).Table_cache.stores)
+
 let test_of_cache_miss () =
   with_cache_dir (fun dir ->
       let cache = Table_cache.of_dir dir in
@@ -404,6 +439,8 @@ let tests =
       test_problem_cache_dir;
     Alcotest.test_case "Case.problem warm path, whole corpus" `Quick
       test_case_warm_path;
+    Alcotest.test_case "Case.problem honours max_table_bytes" `Quick
+      test_case_max_table_bytes;
     Alcotest.test_case "of_cache misses cleanly" `Quick test_of_cache_miss;
     Alcotest.test_case "Cli.positive strictness" `Quick test_cli_positive;
   ]
