@@ -170,8 +170,7 @@ let socket_track ~seed solver =
   let lines = List.map Check.Case.to_string cases in
   let server =
     Server.start
-      (Server.config ~max_queue:128 ~seed ~solvers:(fun _ -> [ solver ])
-         ~prefetch:false (`Unix_path path))
+      (Server.config ~max_queue:128 ~seed ~solvers:(fun _ -> [ solver ]) (`Unix_path path))
   in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in

@@ -4,7 +4,7 @@
            [--workers N] [--deadline-ms MS] [--solver NAME]...
            [--max-queue N] [--max-batch N] [--seed S] [--summary FILE]
            [--cache-dir DIR] [--max-table-mb MB] [--max-lru-mb MB]
-           [--oracle dense|sparse|auto] [--no-prefetch] [--no-timing]
+           [--oracle dense|sparse|auto] [--no-timing]
 
    Two front-ends over the same JSON-lines protocol (docs/serving.md):
 
@@ -20,8 +20,7 @@
    - --listen unix:PATH or tcp:HOST:PORT: a long-lived concurrent
      socket server (lib/serve).  Many clients multiplex onto one pool
      and one shared LRU oracle cache; past --max-queue queued requests
-     admission sheds load with structured `overloaded` errors; idle
-     workers prewarm likely-next oracles from request history.  On
+     admission sheds load with structured `overloaded` errors.  On
      SIGINT/SIGTERM the server drains in-flight work and writes a
      `hyperreconf.serve/1` summary (latency percentiles, cache
      hit-rates) to --summary.
@@ -44,22 +43,6 @@ let solvers_of_names names =
   | names ->
       let chosen = List.map Solver_registry.find_exn names in
       fun problem -> List.filter (fun (s : Solver.t) -> s.Solver.handles problem) chosen
-
-let table_cache_json cache_dir =
-  match cache_dir with
-  | None -> (None, Telemetry.Null)
-  | Some dir ->
-      let s = Table_cache.stats (Table_cache.of_dir dir) in
-      ( Some s,
-        Telemetry.Obj
-          [
-            ("dir", Telemetry.String dir);
-            ("hits", Telemetry.Int s.Table_cache.hits);
-            ("misses", Telemetry.Int s.Table_cache.misses);
-            ("stores", Telemetry.Int s.Table_cache.stores);
-            ("invalid", Telemetry.Int s.Table_cache.invalid);
-            ("errors", Telemetry.Int s.Table_cache.errors);
-          ] )
 
 let write_summary path json =
   Option.iter
@@ -141,8 +124,6 @@ let run_stdio ~workers ~deadline_ms ~solvers ~max_queue ~seed ~summary_file
       shared_builds = !shared_builds;
     }
   in
-  let lru_stats = Batch.build_cache_stats build_cache in
-  let table_cache_stats, table_cache = table_cache_json cache_dir in
   let solve_samples =
     Array.of_list
       (List.filter_map
@@ -154,15 +135,9 @@ let run_stdio ~workers ~deadline_ms ~solvers ~max_queue ~seed ~summary_file
   in
   let extra =
     [
-      ( "build_cache",
-        Telemetry.Obj
-          [
-            ("problems", Telemetry.Int (Batch.build_cache_size build_cache));
-            ("shared", Telemetry.Int (Batch.build_cache_shared build_cache));
-          ] );
-      ("lru_cache", Batch.build_cache_stats_to_json lru_stats);
+      ("lru_cache", Batch.build_cache_stats_to_json (Batch.build_cache_stats build_cache));
       ("latency", Telemetry.latency_summary solve_samples);
-      ("table_cache", table_cache);
+      ("table_cache", Telemetry.table_cache_summary cache_dir);
     ]
   in
   Hr_util.Pool.shutdown pool;
@@ -176,8 +151,9 @@ let run_stdio ~workers ~deadline_ms ~solvers ~max_queue ~seed ~summary_file
   in
   Printf.eprintf "hrserve: %d request(s), %d ok, %d error(s), %.1f ms solving%s\n"
     size ok (size - ok) !total_ms
-    (match table_cache_stats with
-    | Some s ->
+    (match cache_dir with
+    | Some dir ->
+        let s = Table_cache.stats (Table_cache.of_dir dir) in
         Printf.sprintf ", table cache %d hit(s) / %d miss(es) / %d store(s)"
           s.Table_cache.hits s.Table_cache.misses s.Table_cache.stores
     | None -> "");
@@ -188,11 +164,10 @@ let run_stdio ~workers ~deadline_ms ~solvers ~max_queue ~seed ~summary_file
 
 let run_socket ~listen ~workers ~deadline_ms ~solvers ~max_queue ~max_batch
     ~seed ~summary_file ~cache_dir ~max_table_bytes ~max_lru_bytes ~oracle
-    ~prefetch ~timing =
+    ~timing =
   let cfg =
     Server.config ?workers ?deadline_ms ~max_queue ?max_batch ~seed ~solvers
-      ?max_lru_bytes ?max_table_bytes ?cache_dir ~oracle ~prefetch ~timing
-      listen
+      ?max_lru_bytes ?max_table_bytes ?cache_dir ~oracle ~timing listen
   in
   Printf.eprintf "hrserve: listening on %s (max queue %d)\n%!"
     (Server.listen_to_string listen) max_queue;
@@ -220,8 +195,7 @@ let run_socket ~listen ~workers ~deadline_ms ~solvers ~max_queue ~max_batch
 (* ------------------------------------------------------------------ *)
 
 let run stdio listen workers deadline_ms solver_names max_queue max_batch seed
-    summary_file cache_dir max_table_mb max_lru_mb oracle_policy no_prefetch
-    no_timing =
+    summary_file cache_dir max_table_mb max_lru_mb oracle_policy no_timing =
   if max_queue < 1 then failwith "--max-queue must be >= 1";
   let mib what = Option.map (fun s -> Hr_util.Cli.positive_exn ~what s * 1024 * 1024) in
   let max_table_bytes = mib "--max-table-mb" max_table_mb in
@@ -244,7 +218,7 @@ let run stdio listen workers deadline_ms solver_names max_queue max_batch seed
       in
       run_socket ~listen ~workers ~deadline_ms ~solvers ~max_queue ~max_batch
         ~seed ~summary_file ~cache_dir ~max_table_bytes ~max_lru_bytes ~oracle
-        ~prefetch:(not no_prefetch) ~timing
+        ~timing
 
 let stdio =
   Arg.(
@@ -368,14 +342,6 @@ let oracle_policy =
            — linear memory, never densified, bypasses the table cache), or \
            $(b,auto) (dense while it fits the byte budget; the default).")
 
-let no_prefetch =
-  Arg.(
-    value & flag
-    & info [ "no-prefetch" ]
-        ~doc:
-          "Socket mode: disable idle-worker prewarming of likely-next oracles \
-           predicted from recent request history.")
-
 let no_timing =
   Arg.(
     value & flag
@@ -390,7 +356,7 @@ let cmd =
     Term.(
       const run $ stdio $ listen $ workers $ deadline_ms $ solver_names
       $ max_queue $ max_batch $ seed $ summary_file $ cache_dir $ max_table_mb
-      $ max_lru_mb $ oracle_policy $ no_prefetch $ no_timing)
+      $ max_lru_mb $ oracle_policy $ no_timing)
 
 let () =
   match Cmd.eval' ~catch:false cmd with

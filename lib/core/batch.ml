@@ -50,7 +50,6 @@ type node = {
   cost_bytes : int;
   mutable prev : node option;  (* towards MRU *)
   mutable next : node option;  (* towards LRU *)
-  mutable prefetched : bool;
 }
 
 type build_cache = {
@@ -60,11 +59,9 @@ type build_cache = {
   mutable lru : node option;
   mutable bytes : int;
   max_bytes : int option;
-  shared : int Atomic.t;
+  hits : int Atomic.t;
   misses : int Atomic.t;
   evictions : int Atomic.t;
-  prefetch_builds : int Atomic.t;
-  prefetch_hits : int Atomic.t;
 }
 
 type build_cache_stats = {
@@ -74,8 +71,6 @@ type build_cache_stats = {
   hits : int;
   misses : int;
   evictions : int;
-  prefetch_builds : int;
-  prefetch_hits : int;
 }
 
 let build_cache ?max_bytes () =
@@ -86,11 +81,9 @@ let build_cache ?max_bytes () =
     lru = None;
     bytes = 0;
     max_bytes;
-    shared = Atomic.make 0;
+    hits = Atomic.make 0;
     misses = Atomic.make 0;
     evictions = Atomic.make 0;
-    prefetch_builds = Atomic.make 0;
-    prefetch_hits = Atomic.make 0;
   }
 
 (* A problem's charge against the byte budget: its dense-table (or
@@ -137,48 +130,27 @@ let enforce_budget cache ~keep =
       in
       go ()
 
-(* Shared hit bookkeeping: recency bump + counters.  The first hit on a
-   prefetched entry counts once towards [prefetch_hits] — the measure of
-   prewarming that actually paid off. *)
-let touch cache node =
+let move_to_front cache node =
   unlink cache node;
-  push_front cache node;
-  Atomic.incr cache.shared;
-  if node.prefetched then begin
-    node.prefetched <- false;
-    Atomic.incr cache.prefetch_hits
-  end
+  push_front cache node
 
-let insert cache ~prefetched key problem =
+(* Called after a miss built [problem].  If a request racing on the same
+   fresh key inserted first, adopt its problem: this request still built
+   one, so it stays a miss and the winner only moves to the front. *)
+let insert cache key problem =
   match Hashtbl.find_opt cache.table key with
   | Some winner ->
-      (* Raced: another builder inserted first; adopt its problem. *)
-      touch cache winner;
+      move_to_front cache winner;
       winner.problem
   | None ->
       let node =
-        {
-          nkey = key;
-          problem;
-          cost_bytes = problem_cost_bytes problem;
-          prev = None;
-          next = None;
-          prefetched;
-        }
+        { nkey = key; problem; cost_bytes = problem_cost_bytes problem; prev = None; next = None }
       in
       Hashtbl.add cache.table key node;
       push_front cache node;
       cache.bytes <- cache.bytes + node.cost_bytes;
       enforce_budget cache ~keep:node;
       problem
-
-let build_cache_size cache =
-  Mutex.lock cache.mu;
-  let n = Hashtbl.length cache.table in
-  Mutex.unlock cache.mu;
-  n
-
-let build_cache_shared cache = Atomic.get cache.shared
 
 let build_cache_mem cache key =
   Mutex.lock cache.mu;
@@ -194,11 +166,9 @@ let build_cache_stats cache =
     entries;
     bytes;
     cap_bytes = cache.max_bytes;
-    hits = Atomic.get cache.shared;
+    hits = Atomic.get cache.hits;
     misses = Atomic.get cache.misses;
     evictions = Atomic.get cache.evictions;
-    prefetch_builds = Atomic.get cache.prefetch_builds;
-    prefetch_hits = Atomic.get cache.prefetch_hits;
   }
 
 let build_cache_stats_to_json (s : build_cache_stats) =
@@ -215,8 +185,6 @@ let build_cache_stats_to_json (s : build_cache_stats) =
         if total = 0 then Telemetry.Null
         else Telemetry.Float (float s.hits /. float total) );
       ("evictions", Telemetry.Int s.evictions);
-      ("prefetch_builds", Telemetry.Int s.prefetch_builds);
-      ("prefetch_hits", Telemetry.Int s.prefetch_hits);
     ]
 
 let build_problem cache req =
@@ -225,7 +193,11 @@ let build_problem cache req =
   | Some key -> (
       Mutex.lock cache.mu;
       let hit = Hashtbl.find_opt cache.table key in
-      (match hit with Some node -> touch cache node | None -> ());
+      (match hit with
+      | Some node ->
+          move_to_front cache node;
+          Atomic.incr cache.hits
+      | None -> ());
       Mutex.unlock cache.mu;
       match hit with
       | Some node -> node.problem
@@ -233,24 +205,9 @@ let build_problem cache req =
           Atomic.incr cache.misses;
           let problem = req.build () in
           Mutex.lock cache.mu;
-          let problem = insert cache ~prefetched:false key problem in
+          let problem = insert cache key problem in
           Mutex.unlock cache.mu;
           problem)
-
-let prefetch cache ~key build =
-  if build_cache_mem cache key then false
-  else begin
-    (* Build outside the lock, like build_problem: a concurrent request
-       for the same key may win the insert race, in which case this
-       prewarm was redundant but harmless. *)
-    let problem = build () in
-    Mutex.lock cache.mu;
-    let fresh = not (Hashtbl.mem cache.table key) in
-    ignore (insert cache ~prefetched:true key problem);
-    Mutex.unlock cache.mu;
-    if fresh then Atomic.incr cache.prefetch_builds;
-    fresh
-  end
 
 (* Fair-share carving: a request starting with [left] requests still
    unstarted and [workers] domains serving them gets [workers/left] of
@@ -293,7 +250,7 @@ let run ?pool ?(seed = Solver.default_seed) ?deadline_ms
          process for cross-batch reuse); [shared_builds] still reports
          this run's hits only. *)
       let cache = match cache with Some c -> c | None -> build_cache () in
-      let shared0 = Atomic.get cache.shared in
+      let hits0 = Atomic.get cache.hits in
       (* Requests already resident in the build cache cost ~0 to serve;
          counting them in the fair share would shrink every real
          solve's slice for work that never happens. *)
@@ -347,7 +304,7 @@ let run ?pool ?(seed = Solver.default_seed) ?deadline_ms
         total_ms = Budget.now_ms () -. t0;
         workers;
         deadline_ms;
-        shared_builds = Atomic.get cache.shared - shared0;
+        shared_builds = Atomic.get cache.hits - hits0;
       }
 
 (* ------------------------------------------------------------------ *)

@@ -94,23 +94,17 @@ type build_cache
     [max_bytes] of dense tables (unbounded when omitted). *)
 val build_cache : ?max_bytes:int -> unit -> build_cache
 
-(** [build_cache_size c] is the number of distinct problems resident. *)
-val build_cache_size : build_cache -> int
-
-(** [build_cache_shared c] is the lifetime count of requests served
-    from [c] instead of building. *)
-val build_cache_shared : build_cache -> int
-
-(** [build_cache_mem c key] — is [key] resident right now?  (Recency is
-    not bumped: membership probes — the prefetch planner's resident
-    filter — must not distort the LRU order.) *)
+(** [build_cache_mem c key] — is [key] resident right now?  Recency is
+    not bumped, so {!run}'s fair-share carve can probe membership
+    without distorting the LRU order. *)
 val build_cache_mem : build_cache -> string -> bool
 
 (** Lifetime counters of a {!build_cache}: residency ([entries],
-    [bytes], the configured [cap_bytes]), traffic ([hits]/[misses] —
-    keyed requests served from / past the store), [evictions], and the
-    prewarming loop's [prefetch_builds] / [prefetch_hits] (prefetched
-    entries later hit by a real request, counted once each). *)
+    [bytes], the configured [cap_bytes]), traffic and [evictions].
+    Every keyed request counts exactly once in [hits] or [misses]: a
+    request that built its problem is a miss, even when a concurrent
+    request on the same fresh key inserted first; one served without
+    building is a hit. *)
 type build_cache_stats = {
   entries : int;
   bytes : int;
@@ -118,23 +112,14 @@ type build_cache_stats = {
   hits : int;
   misses : int;
   evictions : int;
-  prefetch_builds : int;
-  prefetch_hits : int;
 }
 
 val build_cache_stats : build_cache -> build_cache_stats
 
 (** [build_cache_stats_to_json s] is the summary-document fragment:
-    [{entries; bytes; max_bytes; hits; misses; hit_rate; evictions;
-    prefetch_builds; prefetch_hits}] ([hit_rate] null with no
-    traffic). *)
+    [{entries; bytes; max_bytes; hits; misses; hit_rate; evictions}]
+    ([hit_rate] null with no traffic). *)
 val build_cache_stats_to_json : build_cache_stats -> Telemetry.json
-
-(** [prefetch c ~key build] prewarms [key]: builds and inserts the
-    problem if absent ([true]), a no-op if already resident ([false]).
-    The build runs outside the store's lock; racing a concurrent
-    request on the same key is safe (first insert wins). *)
-val prefetch : build_cache -> key:string -> (unit -> Problem.t) -> bool
 
 (** [fair_slice_ms ~remaining_ms ~workers ~left] is the per-request
     fair share of a global budget with [remaining_ms] left: [workers /

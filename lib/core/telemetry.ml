@@ -293,6 +293,20 @@ let latency_summary samples =
         ("max_ms", Float (Array.fold_left Float.max samples.(0) samples));
       ]
 
+let table_cache_summary = function
+  | None -> Null
+  | Some dir ->
+      let s = Table_cache.stats (Table_cache.of_dir dir) in
+      Obj
+        [
+          ("dir", String dir);
+          ("hits", Int s.Table_cache.hits);
+          ("misses", Int s.Table_cache.misses);
+          ("stores", Int s.Table_cache.stores);
+          ("invalid", Int s.Table_cache.invalid);
+          ("errors", Int s.Table_cache.errors);
+        ]
+
 (* The conventional per-backend work counters, in precedence order:
    whichever a solver reports first is its "iterations". *)
 let iteration_keys = [ "evaluations"; "states"; "rounds" ]

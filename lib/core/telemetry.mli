@@ -89,6 +89,12 @@ val schema_version : string
     instead of raising. *)
 val latency_summary : float array -> json
 
+(** [table_cache_summary cache_dir] is the serving summaries'
+    persistent-cache object: [{dir; hits; misses; stores; invalid;
+    errors}] from {!Table_cache.stats} of [cache_dir]'s handle, or null
+    without a cache directory. *)
+val table_cache_summary : string option -> json
+
 (** [iterations sol] extracts the backend's work counter from
     [sol.stats]: the first of ["evaluations"], ["states"], ["rounds"]
     that parses as an integer. *)

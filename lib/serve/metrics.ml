@@ -69,14 +69,3 @@ let snapshot t =
         cut_off = t.cut_off;
         samples;
       })
-
-let snapshot_to_json (s : snapshot) =
-  Telemetry.Obj
-    [
-      ("admitted", Telemetry.Int s.admitted);
-      ("shed", Telemetry.Int s.shed);
-      ("completed", Telemetry.Int s.completed);
-      ("errors", Telemetry.Int s.errors);
-      ("cut_off", Telemetry.Int s.cut_off);
-      ("latency", Telemetry.latency_summary s.samples);
-    ]

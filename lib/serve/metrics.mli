@@ -33,8 +33,3 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-
-(** [snapshot_to_json s] — the summary fragment: counters plus
-    {!Hr_core.Telemetry.latency_summary} of the samples (null
-    percentiles for an idle server). *)
-val snapshot_to_json : snapshot -> Hr_core.Telemetry.json

@@ -44,15 +44,14 @@ type config = {
   max_table_bytes : int option;
   cache_dir : string option;
   oracle : Interval_cost.policy option;
-  prefetch : bool;
   timing : bool;
   before_batch : (unit -> unit) option;
 }
 
 let config ?workers ?deadline_ms ?(max_queue = 64) ?max_batch
     ?(seed = Solver.default_seed) ?(solvers = Solver_registry.applicable)
-    ?max_lru_bytes ?max_table_bytes ?cache_dir ?oracle ?(prefetch = true)
-    ?(timing = true) ?before_batch listen =
+    ?max_lru_bytes ?max_table_bytes ?cache_dir ?oracle ?(timing = true)
+    ?before_batch listen =
   if max_queue < 1 then invalid_arg "Server.config: max_queue must be >= 1";
   let max_batch = max 1 (Option.value max_batch ~default:max_queue) in
   {
@@ -67,7 +66,6 @@ let config ?workers ?deadline_ms ?(max_queue = 64) ?max_batch
     max_table_bytes;
     cache_dir;
     oracle;
-    prefetch;
     timing;
     before_batch;
   }
@@ -96,7 +94,6 @@ type t = {
   pool : Pool.t;
   cache : Batch.build_cache;
   metrics : Metrics.t;
-  history : History.t;
   listen_fd : Unix.file_descr;
   started_ms : float;
   mu : Mutex.t;
@@ -108,7 +105,6 @@ type t = {
   mutable conn_threads : Thread.t list;
   mutable accept_thread : Thread.t option;
   mutable dispatch_thread : Thread.t option;
-  mutable prefetch_thread : Thread.t option;
   mutable solve_ms : float;  (* summed batch wall clocks *)
   mutable batches : int;
   mutable stopped_summary : Telemetry.json option;
@@ -123,21 +119,6 @@ let summary_json t =
   | None ->
       let m = Metrics.snapshot t.metrics in
       let cache = Batch.build_cache_stats t.cache in
-      let table_cache =
-        match t.cfg.cache_dir with
-        | None -> Telemetry.Null
-        | Some dir ->
-            let s = Table_cache.stats (Table_cache.of_dir dir) in
-            Telemetry.Obj
-              [
-                ("dir", Telemetry.String dir);
-                ("hits", Telemetry.Int s.Table_cache.hits);
-                ("misses", Telemetry.Int s.Table_cache.misses);
-                ("stores", Telemetry.Int s.Table_cache.stores);
-                ("invalid", Telemetry.Int s.Table_cache.invalid);
-                ("errors", Telemetry.Int s.Table_cache.errors);
-              ]
-      in
       let uptime_ms = Budget.now_ms () -. t.started_ms in
       Telemetry.Obj
         [
@@ -166,7 +147,7 @@ let summary_json t =
             else Telemetry.Null );
           ("latency", Telemetry.latency_summary m.Metrics.samples);
           ("lru_cache", Batch.build_cache_stats_to_json cache);
-          ("table_cache", table_cache);
+          ("table_cache", Telemetry.table_cache_summary t.cfg.cache_dir);
         ]
 
 (* ------------------------------------------------------------------ *)
@@ -208,38 +189,6 @@ let dispatch_loop t =
           Metrics.complete t.metrics ~latency_ms:(now -. p.admitted_ms) r;
           try p.reply r with _ -> ())
         pendings batch.Batch.responses;
-      go ()
-    end
-  in
-  go ()
-
-(* ------------------------------------------------------------------ *)
-(* Prefetcher: while the admission queue is idle, prewarm the oracle
-   the history model rates most likely next.  Keys whose builds raise
-   are remembered and never retried — a poisoned request must not turn
-   the idle loop into a crash loop. *)
-
-let prefetch_loop t =
-  let failed = Hashtbl.create 8 in
-  let resident key =
-    Hashtbl.mem failed key || Batch.build_cache_mem t.cache key
-  in
-  let rec go () =
-    if t.stopping then ()
-    else begin
-      Thread.delay 0.02;
-      let idle =
-        Mutex.lock t.mu;
-        let i = Queue.is_empty t.queue in
-        Mutex.unlock t.mu;
-        i
-      in
-      (if idle && not t.stopping then
-         match History.predict t.history ~resident ~limit:1 with
-         | [] -> Thread.delay 0.05
-         | (key, build) :: _ -> (
-             try ignore (Batch.prefetch t.cache ~key build)
-             with _ -> Hashtbl.replace failed key ()));
       go ()
     end
   in
@@ -288,9 +237,6 @@ let handle_conn t fd =
         c.inflight <- c.inflight + 1;
         Mutex.unlock c.cmu;
         Queue.push { preq = req; admitted_ms = now; reply } t.queue;
-        (match req.Batch.key with
-        | Some key -> History.observe t.history ~key req.Batch.build
-        | None -> ());
         Condition.signal t.nonempty;
         Ok ()
       end
@@ -409,7 +355,6 @@ let start cfg =
       pool = Pool.create ?workers:cfg.workers ();
       cache = Batch.build_cache ?max_bytes:cfg.max_lru_bytes ();
       metrics = Metrics.create ();
-      history = History.create ();
       listen_fd;
       started_ms = Budget.now_ms ();
       mu = Mutex.create ();
@@ -421,7 +366,6 @@ let start cfg =
       conn_threads = [];
       accept_thread = None;
       dispatch_thread = None;
-      prefetch_thread = None;
       solve_ms = 0.;
       batches = 0;
       stopped_summary = None;
@@ -429,8 +373,6 @@ let start cfg =
   in
   t.dispatch_thread <- Some (Thread.create (fun () -> dispatch_loop t) ());
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
-  if cfg.prefetch then
-    t.prefetch_thread <- Some (Thread.create (fun () -> prefetch_loop t) ());
   t
 
 let stop t =
@@ -470,7 +412,6 @@ let stop t =
     List.iter Thread.join conn_threads;
     (* 3. Drain: the dispatcher exits once the queue is dry. *)
     Option.iter Thread.join t.dispatch_thread;
-    Option.iter Thread.join t.prefetch_thread;
     (* 4. Snapshot the summary BEFORE tearing the pool down — the
        workers count and cache statistics must describe the serving
        process, not its corpse. *)

@@ -4,8 +4,7 @@
     TCP socket: per-connection reader threads feed a bounded global
     admission queue; a single dispatcher micro-batches queued requests
     onto the persistent domain {!Hr_util.Pool} via {!Hr_core.Batch.run}
-    with a shared byte-budgeted LRU oracle cache; an idle prefetcher
-    prewarms the likely-next oracle from recent request history.
+    with a shared byte-budgeted LRU oracle cache.
 
     Overload is answered, never dropped: past [max_queue] queued
     requests, admission returns a structured [hyperreconf.result/1]
@@ -37,7 +36,6 @@ type config = {
   cache_dir : string option;  (** persistent on-disk table cache *)
   oracle : Hr_core.Interval_cost.policy option;
       (** oracle ladder rung for switch-model cases; None = Auto *)
-  prefetch : bool;  (** prewarm likely-next oracles when idle *)
   timing : bool;  (** false zeroes wall_ms in responses (determinism) *)
   before_batch : (unit -> unit) option;
       (** test hook, called by the dispatcher before each [Batch.run];
@@ -56,19 +54,18 @@ val config :
   ?max_table_bytes:int ->
   ?cache_dir:string ->
   ?oracle:Hr_core.Interval_cost.policy ->
-  ?prefetch:bool ->
   ?timing:bool ->
   ?before_batch:(unit -> unit) ->
   listen ->
   config
 (** Defaults: [max_queue = 64], [max_batch = max_queue],
     [seed = Solver.default_seed], [solvers = Solver_registry.applicable],
-    unbounded LRU, prefetch and timing on. *)
+    unbounded LRU, timing on. *)
 
 type t
 
-(** [start cfg] binds the listen address and launches the accept,
-    dispatcher and (optionally) prefetch threads.  Ignores [SIGPIPE].
+(** [start cfg] binds the listen address and launches the accept and
+    dispatcher threads.  Ignores [SIGPIPE].
     Raises [Failure] if the address cannot be bound (e.g. the Unix path
     exists and is not a socket). *)
 val start : config -> t

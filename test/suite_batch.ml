@@ -116,11 +116,21 @@ let test_error_containment () =
       | Ok _ -> Alcotest.fail "failing build must yield an Error response")
   | rs -> Alcotest.failf "%d responses for 3 requests" (List.length rs)
 
+(* A shut-down pool runs a batch caller-side, one request after another,
+   so no two requests on one key are ever building at once: the hit
+   counts below are exact.  Concurrent builds on one key are the raced
+   test's subject. *)
+let sequential_pool () =
+  let pool = Pool.create ~workers:1 () in
+  Pool.shutdown pool;
+  pool
+
 let test_build_dedup () =
   (* Equal keys share one problem build; a distinct key does not. *)
   let req i key = Batch.request ~key ~id:(string_of_int i) sample_build in
   let batch =
-    Batch.run ~seed:3 [ req 0 "k"; req 1 "k"; req 2 "k"; req 3 "other" ]
+    Batch.run ~pool:(sequential_pool ()) ~seed:3
+      [ req 0 "k"; req 1 "k"; req 2 "k"; req 3 "other" ]
   in
   check Alcotest.int "two cache hits" 2 batch.Batch.shared_builds;
   List.iter
@@ -133,14 +143,18 @@ let test_build_cache_across_batches () =
      stays a per-run delta rather than a lifetime total. *)
   let cache = Batch.build_cache () in
   let req i key = Batch.request ~key ~id:(string_of_int i) sample_build in
-  let first = Batch.run ~seed:3 ~cache [ req 0 "k"; req 1 "k" ] in
+  let first =
+    Batch.run ~pool:(sequential_pool ()) ~seed:3 ~cache [ req 0 "k"; req 1 "k" ]
+  in
   check Alcotest.int "first run: one hit" 1 first.Batch.shared_builds;
-  check Alcotest.int "one problem resident" 1 (Batch.build_cache_size cache);
+  check Alcotest.int "one problem resident" 1
+    (Batch.build_cache_stats cache).Batch.entries;
   let second = Batch.run ~seed:3 ~cache [ req 2 "k"; req 3 "k2" ] in
   check Alcotest.int "second run: hit is per-run" 1 second.Batch.shared_builds;
-  check Alcotest.int "two problems resident" 2 (Batch.build_cache_size cache);
-  check Alcotest.int "lifetime hits accumulate" 2
-    (Batch.build_cache_shared cache);
+  let s = Batch.build_cache_stats cache in
+  check Alcotest.int "two problems resident" 2 s.Batch.entries;
+  check Alcotest.int "lifetime hits accumulate" 2 s.Batch.hits;
+  check Alcotest.int "one miss per build" 2 s.Batch.misses;
   (* Reuse must not change answers: same key, same cost as a fresh solve. *)
   let fresh = Batch.run ~seed:3 [ req 4 "k" ] in
   let cost b =
@@ -150,6 +164,39 @@ let test_build_cache_across_batches () =
   in
   check Alcotest.int "cached problem solves identically" (cost fresh)
     (cost second)
+
+let test_raced_build_is_a_miss () =
+  (* Two requests on one fresh key, each held inside its build until
+     both are building.  Both built a problem, so both are misses: the
+     one that inserts second adopts the first one's problem without
+     counting a hit.  hits + misses stays the number of keyed
+     requests. *)
+  let inside = Atomic.make 0 and overlapped = Atomic.make false in
+  let build () =
+    Atomic.incr inside;
+    let give_up = Hr_util.Budget.now_ms () +. 10_000. in
+    while Atomic.get inside < 2 && Hr_util.Budget.now_ms () < give_up do
+      Unix.sleepf 0.001
+    done;
+    if Atomic.get inside >= 2 then Atomic.set overlapped true;
+    sample_build ()
+  in
+  let cache = Batch.build_cache () in
+  let pool = Pool.create ~workers:2 () in
+  let batch =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        Batch.run ~pool ~seed:3 ~cache
+          [ Batch.request ~key:"k" ~id:"0" build; Batch.request ~key:"k" ~id:"1" build ])
+  in
+  check Alcotest.bool "both requests were building at once" true
+    (Atomic.get overlapped);
+  let s = Batch.build_cache_stats cache in
+  check Alcotest.int "two misses" 2 s.Batch.misses;
+  check Alcotest.int "no hits" 0 s.Batch.hits;
+  check Alcotest.int "no shared builds" 0 batch.Batch.shared_builds;
+  check Alcotest.int "one entry resident" 1 s.Batch.entries
 
 let test_lru_eviction_by_bytes () =
   (* Every sample problem costs at least the 1 KiB accounting floor, so
@@ -356,6 +403,7 @@ let tests =
     Alcotest.test_case "build dedup by key" `Quick test_build_dedup;
     Alcotest.test_case "build cache across batches" `Quick
       test_build_cache_across_batches;
+    Alcotest.test_case "raced build is a miss" `Quick test_raced_build_is_a_miss;
     Alcotest.test_case "lru eviction by byte budget" `Quick
       test_lru_eviction_by_bytes;
     Alcotest.test_case "lru recency order" `Quick test_lru_recency_order;

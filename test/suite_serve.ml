@@ -1,13 +1,11 @@
 (* lib/serve conformance: interleaved socket clients, deterministic
    load shedding, per-request deadlines, byte-parity with the stdio
-   pipeline, prefetch prediction, and the latency-summary guards. *)
+   pipeline, and the latency-summary guards. *)
 
 open Hr_core
 module Check = Hr_check
 module Server = Hr_serve.Server
 module Protocol = Hr_serve.Protocol
-module History = Hr_serve.History
-module Metrics = Hr_serve.Metrics
 
 let check = Alcotest.check
 
@@ -77,7 +75,7 @@ let test_interleaved_connections () =
   let path = sock_path () in
   let lines = corpus_lines () in
   let case i = List.nth lines (i mod List.length lines) in
-  with_server (Server.config ~timing:false ~prefetch:false (`Unix_path path))
+  with_server (Server.config ~timing:false (`Unix_path path))
     (fun t ->
       let a = connect path and b = connect path in
       send a (envelope ~id:"a-0" (case 0));
@@ -137,7 +135,7 @@ let test_load_shedding () =
   let lines = corpus_lines () in
   let case i = List.nth lines (i mod List.length lines) in
   with_server
-    (Server.config ~max_queue:1 ~timing:false ~prefetch:false
+    (Server.config ~max_queue:1 ~timing:false
        ~before_batch:hook (`Unix_path path))
     (fun _t ->
       let c = connect path in
@@ -192,7 +190,7 @@ let test_per_request_deadline () =
     | None -> Alcotest.fail "no corpus case handled by mt-dp"
   in
   with_server
-    (Server.config ~timing:false ~prefetch:false
+    (Server.config ~timing:false
        ~solvers:(fun _ -> [ mt_dp ])
        (`Unix_path path))
     (fun _t ->
@@ -232,7 +230,7 @@ let test_socket_matches_stdio_bytes () =
          batch.Batch.responses)
   in
   let path = sock_path () in
-  with_server (Server.config ~timing:false ~prefetch:false (`Unix_path path))
+  with_server (Server.config ~timing:false (`Unix_path path))
     (fun _t ->
       let c = connect path in
       List.iter (send c) lines;
@@ -256,24 +254,6 @@ let test_listen_of_string () =
       | Ok _ -> Alcotest.failf "accepted bad address %S" s)
     [ "bogus"; "tcp:host"; "tcp:host:99999"; "tcp:host:nope"; "unix:" ]
 
-let test_history_predicts_successor () =
-  let h = History.create () in
-  let build () = failwith "never built" in
-  List.iter
-    (fun key -> History.observe h ~key build)
-    [ "a"; "b"; "a"; "b"; "a" ];
-  check Alcotest.int "observations counted" 5 (History.observed h);
-  (* last = "a", whose dominant successor is "b". *)
-  (match History.predict h ~resident:(fun _ -> false) ~limit:1 with
-  | [ (key, _) ] -> check Alcotest.string "successor of last wins" "b" key
-  | l -> Alcotest.failf "%d candidates for limit 1" (List.length l));
-  (* Resident keys are never proposed; ranking falls back to global
-     frequency. *)
-  let keys =
-    List.map fst (History.predict h ~resident:(fun k -> k = "b") ~limit:2)
-  in
-  check Alcotest.bool "resident key filtered" false (List.mem "b" keys)
-
 let test_latency_summary_guards () =
   (* Percentiles must be null, not a crash, when no request has
      completed (Stats.percentile raises on empty samples). *)
@@ -287,15 +267,22 @@ let test_latency_summary_guards () =
             (List.assoc k fields = Telemetry.Null))
         [ "mean_ms"; "p50_ms"; "p95_ms"; "p99_ms"; "max_ms" ]
   | _ -> Alcotest.fail "latency summary is not an object");
-  (* And an idle server's metrics render the same way. *)
-  match Metrics.snapshot_to_json (Metrics.snapshot (Metrics.create ())) with
+  (* And the summary of a server that served nothing renders the same
+     way. *)
+  let t = Server.start (Server.config ~workers:1 (`Unix_path (sock_path ()))) in
+  Server.stop t;
+  match Server.summary_json t with
   | Telemetry.Obj fields -> (
+      check Alcotest.bool "nothing completed" true
+        (List.assoc "completed" fields = Telemetry.Int 0);
       match List.assoc "latency" fields with
       | Telemetry.Obj l ->
+          check Alcotest.bool "idle count 0" true
+            (List.assoc "count" l = Telemetry.Int 0);
           check Alcotest.bool "idle p95 null" true
             (List.assoc "p95_ms" l = Telemetry.Null)
-      | _ -> Alcotest.fail "metrics latency is not an object")
-  | _ -> Alcotest.fail "metrics snapshot is not an object"
+      | _ -> Alcotest.fail "summary latency is not an object")
+  | _ -> Alcotest.fail "summary is not an object"
 
 let tests =
   [
@@ -308,8 +295,6 @@ let tests =
     Alcotest.test_case "socket = stdio, byte for byte" `Quick
       test_socket_matches_stdio_bytes;
     Alcotest.test_case "listen address parsing" `Quick test_listen_of_string;
-    Alcotest.test_case "history predicts successor" `Quick
-      test_history_predicts_successor;
     Alcotest.test_case "latency summary on empty samples" `Quick
       test_latency_summary_guards;
   ]
