@@ -311,7 +311,7 @@ let () =
         ("pooled_ms", Telemetry.Float pool_ms);
         ("pooled_per_s", Telemetry.Float (per_s pool_ms));
         ("speedup", Telemetry.Float speedup);
-        ("batch", Batch.to_json ~label:"serve-bench" ~results:false batch);
+        ("batch", Batch.to_json ~label:"serve-bench" (Batch.summary batch));
         ( "table_cache",
           Telemetry.Obj
             [

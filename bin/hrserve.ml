@@ -62,10 +62,30 @@ let run_stdio ~workers ~deadline_ms ~solvers ~max_queue ~seed ~summary_file
   (* Outlives every batch: later batches reuse earlier batches'
      precomputed problems, within the LRU byte budget. *)
   let build_cache = Batch.build_cache ?max_bytes:max_lru_bytes () in
-  let all_responses = ref [] (* reversed *) in
-  let total_ms = ref 0. and shared_builds = ref 0 in
+  (* Each response is counted as it is written and then dropped, so a
+     long stream runs in constant memory; only the solve latencies are
+     kept, for the percentiles. *)
+  let summary =
+    ref
+      {
+        Batch.size = 0;
+        ok = 0;
+        cut_off = 0;
+        total_ms = 0.;
+        workers = 0;
+        deadline_ms;
+        shared_builds = 0;
+      }
+  in
+  let samples = ref (Array.make 64 0.) and nsamples = ref 0 in
   let emit (r : Batch.response) =
-    all_responses := r :: !all_responses;
+    summary := Batch.count !summary r;
+    if Result.is_ok r.Batch.outcome then begin
+      if !nsamples = Array.length !samples then
+        samples := Array.append !samples (Array.make !nsamples 0.);
+      !samples.(!nsamples) <- r.Batch.wall_ms;
+      incr nsamples
+    end;
     print_string (Protocol.response_line ~timing r);
     flush stdout
   in
@@ -81,8 +101,12 @@ let run_stdio ~workers ~deadline_ms ~solvers ~max_queue ~seed ~summary_file
       Batch.run ~pool ~seed ?deadline_ms ~solvers ~cache:build_cache
         (List.rev batch_requests)
     in
-    total_ms := !total_ms +. batch.Batch.total_ms;
-    shared_builds := !shared_builds + batch.Batch.shared_builds;
+    summary :=
+      {
+        !summary with
+        total_ms = !summary.total_ms +. batch.Batch.total_ms;
+        shared_builds = !summary.shared_builds + batch.Batch.shared_builds;
+      };
     let solved = ref batch.Batch.responses in
     List.iter
       (function
@@ -115,24 +139,8 @@ let run_stdio ~workers ~deadline_ms ~solvers ~max_queue ~seed ~summary_file
   serve [] 0 0;
   (* Snapshot the summary BEFORE the pool goes down: Pool.size and the
      cache statistics must describe the pool that did the work. *)
-  let summary =
-    {
-      Batch.responses = List.rev !all_responses;
-      total_ms = !total_ms;
-      workers = Hr_util.Pool.size pool;
-      deadline_ms;
-      shared_builds = !shared_builds;
-    }
-  in
-  let solve_samples =
-    Array.of_list
-      (List.filter_map
-         (fun (r : Batch.response) ->
-           match r.Batch.outcome with
-           | Ok _ -> Some r.Batch.wall_ms
-           | Error _ -> None)
-         summary.Batch.responses)
-  in
+  let summary = { !summary with workers = Hr_util.Pool.size pool } in
+  let solve_samples = Array.sub !samples 0 !nsamples in
   let extra =
     [
       ("lru_cache", Batch.build_cache_stats_to_json (Batch.build_cache_stats build_cache));
@@ -143,14 +151,10 @@ let run_stdio ~workers ~deadline_ms ~solvers ~max_queue ~seed ~summary_file
   Hr_util.Pool.shutdown pool;
   write_summary summary_file
     (Batch.to_json ~label:"hrserve" ~extra summary);
-  let size = List.length summary.Batch.responses in
-  let ok =
-    List.length
-      (List.filter (fun (r : Batch.response) -> Result.is_ok r.Batch.outcome)
-         summary.Batch.responses)
-  in
   Printf.eprintf "hrserve: %d request(s), %d ok, %d error(s), %.1f ms solving%s\n"
-    size ok (size - ok) !total_ms
+    summary.Batch.size summary.Batch.ok
+    (summary.Batch.size - summary.Batch.ok)
+    summary.Batch.total_ms
     (match cache_dir with
     | Some dir ->
         let s = Table_cache.stats (Table_cache.of_dir dir) in

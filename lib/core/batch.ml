@@ -310,6 +310,37 @@ let run ?pool ?(seed = Solver.default_seed) ?deadline_ms
 (* ------------------------------------------------------------------ *)
 (* JSON documents.                                                     *)
 
+type summary = {
+  size : int;
+  ok : int;
+  cut_off : int;
+  total_ms : float;
+  workers : int;
+  deadline_ms : int option;
+  shared_builds : int;
+}
+
+let count s r =
+  let ok, cut_off =
+    match r.outcome with
+    | Ok solved -> (1, Bool.to_int solved.solution.Solution.cut_off)
+    | Error _ -> (0, 0)
+  in
+  { s with size = s.size + 1; ok = s.ok + ok; cut_off = s.cut_off + cut_off }
+
+let summary (t : t) =
+  List.fold_left count
+    {
+      size = 0;
+      ok = 0;
+      cut_off = 0;
+      total_ms = t.total_ms;
+      workers = t.workers;
+      deadline_ms = t.deadline_ms;
+      shared_builds = t.shared_builds;
+    }
+    t.responses
+
 open Telemetry
 
 let report_to_json ~timing (r : Solver.report) =
@@ -362,37 +393,20 @@ let response_to_json ?(timing = true) r =
             ("solvers", List (List.map (report_to_json ~timing) solved.reports));
           ])
 
-let to_json ?(label = "batch") ?(results = true) ?(extra = []) t =
-  let size = List.length t.responses in
-  let ok =
-    List.length (List.filter (fun r -> Result.is_ok r.outcome) t.responses)
-  in
-  let cut_off =
-    List.length
-      (List.filter
-         (fun r ->
-           match r.outcome with
-           | Ok s -> s.solution.Solution.cut_off
-           | Error _ -> false)
-         t.responses)
-  in
+let to_json ?(label = "batch") ?(extra = []) s =
   Obj
     ([
        ("schema", String batch_schema_version);
        ("label", String label);
-       ("size", Int size);
-       ("ok", Int ok);
-       ("errors", Int (size - ok));
-       ("cut_off", Int cut_off);
-       ("workers", Int t.workers);
-       ("deadline_ms", match t.deadline_ms with Some ms -> Int ms | None -> Null);
-       ("total_ms", Float t.total_ms);
+       ("size", Int s.size);
+       ("ok", Int s.ok);
+       ("errors", Int (s.size - s.ok));
+       ("cut_off", Int s.cut_off);
+       ("workers", Int s.workers);
+       ("deadline_ms", match s.deadline_ms with Some ms -> Int ms | None -> Null);
+       ("total_ms", Float s.total_ms);
        ( "throughput_per_s",
-         if t.total_ms > 0. then Float (1000. *. float size /. t.total_ms) else Null );
-       ("shared_builds", Int t.shared_builds);
+         if s.total_ms > 0. then Float (1000. *. float s.size /. s.total_ms) else Null );
+       ("shared_builds", Int s.shared_builds);
      ]
-    @ extra
-    @
-    if results then
-      [ ("results", List (List.map (fun r -> response_to_json r) t.responses)) ]
-    else [])
+    @ extra)

@@ -162,11 +162,30 @@ val error_response : ?wall_ms:float -> id:string -> string -> response
     runs and transports (hrserve's [--no-timing]). *)
 val response_to_json : ?timing:bool -> response -> Telemetry.json
 
-(** [to_json ?label ?results ?extra t] is the [hyperreconf.batch/1]
-    document aggregating the batch: size, ok/error/cut-off counts,
-    workers, deadline, wall clock, throughput (instances/s), shared
-    builds and — unless [results] is [false] — every per-request result
-    document.  [extra] fields (e.g. hrserve's table-cache stats) are
-    appended after the standard aggregates. *)
+(** The aggregates of a [hyperreconf.batch/1] document.  They add up
+    one response at a time ({!count}), so a caller that streams many
+    batches need not keep its responses. *)
+type summary = {
+  size : int;
+  ok : int;
+  cut_off : int;  (** solved, but the deadline cut the race off *)
+  total_ms : float;
+  workers : int;
+  deadline_ms : int option;
+  shared_builds : int;
+}
+
+(** [summary t] is the aggregates of the batch [t]. *)
+val summary : t -> summary
+
+(** [count s r] is [s] with the response [r] added to its counts. *)
+val count : summary -> response -> summary
+
+(** [to_json ?label ?extra s] is the [hyperreconf.batch/1] document:
+    size, ok/error/cut-off counts, workers, deadline, wall clock,
+    throughput (instances/s) and shared builds.  [extra] fields (e.g.
+    hrserve's table-cache stats) are appended after them.  The
+    per-request results are not repeated: hrserve writes each one as
+    its own line. *)
 val to_json :
-  ?label:string -> ?results:bool -> ?extra:(string * Telemetry.json) list -> t -> Telemetry.json
+  ?label:string -> ?extra:(string * Telemetry.json) list -> summary -> Telemetry.json

@@ -280,15 +280,15 @@ let value_bound t =
   done;
   !b
 
-let mapped ~build_ms table =
+let mapped table =
   ( table,
-    Dense_table { table; build_ms; build_workers = 1; build_seq_ms = build_ms; source = Mapped } )
+    Dense_table { table; build_ms = 0.; build_workers = 1; build_seq_ms = 0.; source = Mapped } )
 
 let of_cache cache ~key ~m ~n ~v =
   if m <= 0 || n < 0 then None
   else
     Option.map
-      (fun table -> dense ~m ~n ~v ~fingerprint:(Some key) (mapped ~build_ms:0. table))
+      (fun table -> dense ~m ~n ~v ~fingerprint:(Some key) (mapped table))
       (Table_cache.load cache ~key ~cells:(dense_cells ~m ~n))
 
 let precompute ?(max_bytes = default_max_bytes) ?cache ?pool t =
@@ -297,11 +297,10 @@ let precompute ?(max_bytes = default_max_bytes) ?cache ?pool t =
     | Some c, Some key -> Table_cache.store c ~key table
     | _ -> ()
   in
+  (* Only written, never read: callers look the table up before they
+     build, so a lookup here would repeat their miss.  A mapped table
+     is the cache's own copy, and a sparse oracle is never densified. *)
   match t.cache with
-  (* A constructor already built the table, so only the write-back for
-     the next process is left.  A mapped table is the cache's own copy,
-     and a sparse oracle stays sparse — the whole point of forcing
-     [Sparse] is never to pay the n² densification. *)
   | Dense_table { table; source = Built; _ } ->
       store table;
       t
@@ -314,25 +313,13 @@ let precompute ?(max_bytes = default_max_bytes) ?cache ?pool t =
       (* Over the memory budget a custom oracle stays direct. *)
       if cells * width_bytes_for bound > max_bytes then t
       else
-        let t0 = Hr_util.Budget.now_ms () in
-        let with_table = dense ~m ~n ~v:t.v ~fingerprint:t.fingerprint in
-        let stored =
-          match (cache, t.fingerprint) with
-          | Some c, Some key -> Table_cache.load c ~key ~cells
-          | _ -> None
+        let ((table, _) as built) =
+          build_dense ?pool ~m ~n ~bound (fun write base j lo ->
+              for hi = lo to n - 1 do
+                write (base + hi) (t.step_cost j lo hi)
+              done)
         in
-        match stored with
-        | Some table ->
-            (* mmap hit: the table pages in on demand; no oracle calls. *)
-            with_table (mapped ~build_ms:(Hr_util.Budget.now_ms () -. t0) table)
-        | None ->
-            let ((table, _) as built) =
-              build_dense ?pool ~m ~n ~bound (fun write base j lo ->
-                  for hi = lo to n - 1 do
-                    write (base + hi) (t.step_cost j lo hi)
-                  done)
-            in
-            store table;
-            with_table built
+        store table;
+        dense ~m ~n ~v:t.v ~fingerprint:t.fingerprint built
 
 let full_cost t j = if t.n = 0 then 0 else t.step_cost j 0 (t.n - 1)

@@ -194,11 +194,12 @@ val value_bound : t -> int
     When the table would exceed [max_bytes] (default
     {!default_max_bytes}) the oracle stays direct.
 
-    With [cache] and an oracle that carries a [fingerprint], the table
-    is first looked up in the persistent store — a hit [mmap]s the file
-    (no oracle calls, [cache_stats.source = "mmap"]) — and a table
-    built this process (here or by a constructor) is written back for
-    the next process.
+    With [cache] and an oracle that carries a [fingerprint], a table
+    built this process (here or by a constructor) is written back to
+    the persistent store for the next process.  [precompute] never
+    reads the store: a caller with a warm store maps the table with
+    {!of_cache} before it builds anything, as {!Problem.of_task_set}
+    and [Hr_check.Case.problem] do.
 
     Free on a dense or sparse oracle apart from that write-back —
     {!Problem.make} calls it once per instance and every registered

@@ -7,69 +7,6 @@ type outcome = {
   cut_off : bool;
 }
 
-(* The flat-state engine.
-
-   A DP level is a structure-of-arrays buffer: state [s] keeps its
-   per-task committed block ends and per-step costs in the slices
-   [s*m .. s*m + m - 1] of two flat int arrays, its accumulated cost in
-   [acc.(s)] and its hyperreconfiguration history in [breaks.(s)]
-   (an immutable list, so levels share tails).  Dominated states are
-   tombstoned via [alive] instead of being moved, which keeps the
-   per-key bucket indices stable. *)
-type level = {
-  mutable ends : int array;
-  mutable costs : int array;
-  mutable acc : int array;
-  mutable breaks : (int * int) list array;
-  mutable alive : bool array;
-  mutable len : int;
-}
-
-let make_level m cap =
-  {
-    ends = Array.make (cap * m) 0;
-    costs = Array.make (cap * m) 0;
-    acc = Array.make cap 0;
-    breaks = Array.make cap [];
-    alive = Array.make cap false;
-    len = 0;
-  }
-
-let grow_level m lv =
-  let cap = Array.length lv.acc in
-  let cap' = 2 * cap in
-  let e = Array.make (cap' * m) 0 in
-  Array.blit lv.ends 0 e 0 (cap * m);
-  lv.ends <- e;
-  let c = Array.make (cap' * m) 0 in
-  Array.blit lv.costs 0 c 0 (cap * m);
-  lv.costs <- c;
-  let a = Array.make cap' 0 in
-  Array.blit lv.acc 0 a 0 cap;
-  lv.acc <- a;
-  let b = Array.make cap' [] in
-  Array.blit lv.breaks 0 b 0 cap;
-  lv.breaks <- b;
-  let al = Array.make cap' false in
-  Array.blit lv.alive 0 al 0 cap;
-  lv.alive <- al
-
-let push_state m lv ~ends ~costs ~acc ~breaks =
-  if lv.len >= Array.length lv.acc then grow_level m lv;
-  let s = lv.len in
-  Array.blit ends 0 lv.ends (s * m) m;
-  Array.blit costs 0 lv.costs (s * m) m;
-  lv.acc.(s) <- acc;
-  lv.breaks.(s) <- breaks;
-  lv.alive.(s) <- true;
-  lv.len <- s + 1;
-  s
-
-(* The cooperative budget is polled every [poll_mask + 1] emitted
-   states, so even one huge level cannot overshoot a deadline by more
-   than a few thousand expansions. *)
-let poll_mask = 4095
-
 exception Cut
 
 let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
@@ -79,29 +16,27 @@ let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
   let beam = max_states <> None in
   (* Exactness needs the full fan-out of n end choices per restarting
      task; refuse instances whose very first level would not fit. *)
-  if not beam then begin
-    let rec level0 j acc =
-      if j >= m || acc > 2_000_000. then acc else level0 (j + 1) (acc *. float_of_int n)
-    in
-    if level0 0 1. > 2_000_000. then
-      invalid_arg
-        "Mt_dp.solve: instance too large for the exact DP (n^m initial states); \
-         pass ~max_states for a beam search or use Mt_ga/Mt_anneal"
-  end;
+  if (not beam) && not (Dp_frontier.exact_fits ~m ~n) then
+    invalid_arg
+      "Mt_dp.solve: instance too large for the exact DP (n^m initial states); \
+       pass ~max_states for a beam search or use Mt_ga/Mt_anneal";
   let hyper_par = params.Sync_cost.hyper = Sync_cost.Task_parallel in
   let reconf_par = params.Sync_cost.reconf = Sync_cost.Task_parallel in
   let pub = params.Sync_cost.pub in
-  let combine_reconf costs =
+  (* [combine_reconf c off] combines the per-task step costs
+     [c.(off) .. c.(off + m - 1)] under the reconfiguration upload
+     mode. *)
+  let combine_reconf costs off =
     if reconf_par then begin
       let r = ref pub in
-      for t = 0 to m - 1 do
+      for t = off to off + m - 1 do
         if costs.(t) > !r then r := costs.(t)
       done;
       !r
     end
     else begin
       let r = ref pub in
-      for t = 0 to m - 1 do
+      for t = off to off + m - 1 do
         r := !r + costs.(t)
       done;
       !r
@@ -111,100 +46,53 @@ let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
      pays at least the combined per-requirement costs. *)
   let suffix = Array.make (n + 1) 0 in
   for i = n - 1 downto 0 do
-    suffix.(i) <- suffix.(i + 1) + combine_reconf (Array.init m (fun j -> sc j i i))
+    suffix.(i) <- suffix.(i + 1) + combine_reconf (Array.init m (fun j -> sc j i i)) 0
   done;
   let explored = ref 0 in
-  let truncated = ref false in
   let truncations = ref 0 in
   let cut = ref false in
   let ub = Option.value upper_bound ~default:max_int in
-  (* ---- packed state keys ----
-     A state's future depends only on its block-end vector, so Pareto
-     buckets are keyed by it.  Each end is in [-1 .. n-1]; shifted by
-     one it fits [key_bits] bits, and the whole vector packs into one
-     int whenever m·key_bits ≤ 62 — always true on the exact path
-     (n^m ≤ 2·10⁶ bounds m·log₂ n).  Beam instances above the packing
-     limit fall back to a string key. *)
-  let key_bits =
-    let rec bits x = if x = 0 then 0 else 1 + bits (x lsr 1) in
-    max 1 (bits n)
-  in
-  let packable = m * key_bits <= 62 in
-  let ibuckets : (int, int list ref) Hashtbl.t =
-    Hashtbl.create (if packable then 1024 else 1)
-  in
-  let sbuckets : (string, int list ref) Hashtbl.t =
-    Hashtbl.create (if packable then 1 else 1024)
-  in
-  let bucket_of ends =
-    if packable then begin
-      let k = ref 0 in
-      for j = 0 to m - 1 do
-        k := (!k lsl key_bits) lor (ends.(j) + 1)
-      done;
-      match Hashtbl.find_opt ibuckets !k with
-      | Some b -> b
-      | None ->
-          let b = ref [] in
-          Hashtbl.add ibuckets !k b;
-          b
-    end
-    else begin
-      let bytes = Bytes.create (m * 8) in
-      for j = 0 to m - 1 do
-        Bytes.set_int64_le bytes (j * 8) (Int64.of_int ends.(j))
-      done;
-      let k = Bytes.unsafe_to_string bytes in
-      match Hashtbl.find_opt sbuckets k with
-      | Some b -> b
-      | None ->
-          let b = ref [] in
-          Hashtbl.add sbuckets k b;
-          b
-    end
-  in
-  let reset_buckets () =
-    if packable then Hashtbl.reset ibuckets else Hashtbl.reset sbuckets
+  (* A state's vector holds its per-task block ends (fields [0 .. m-1],
+     [-1] before the first block) and then the per-step costs of those
+     blocks (fields [m .. 2m-1]).  Its future depends only on the block
+     ends, so they key the Pareto buckets: [buckets.(b)] lists the
+     states of the level being built whose ends have key number [b]. *)
+  let w = 2 * m in
+  let index = Dp_frontier.Index.create ~fields:m in
+  let buckets = ref (Array.make 16 []) in
+  (* Are the costs [a.(oa + m + t ..)] component-wise <= the costs
+     [b.(ob + m + t ..)]? *)
+  let rec costs_le (a : int array) oa (b : int array) ob t =
+    t >= m || (a.(oa + m + t) <= b.(ob + m + t) && costs_le a oa b ob (t + 1))
   in
   (* Incremental Pareto maintenance: a candidate is inserted only if no
      bucket member weakly dominates it (covers exact duplicates too),
      and evicts the members it weakly dominates — the surviving set is
      exactly the Pareto filter of the whole level. *)
-  let live = ref 0 in
-  let insert next sc_ends sc_costs acc_v brk =
-    let bucket = bucket_of sc_ends in
+  let insert (next : Dp_frontier.level) cand acc_v brk =
+    let b = Dp_frontier.Index.find_or_add index cand in
+    if b = Array.length !buckets then begin
+      let grown = Array.make (2 * b) [] in
+      Array.blit !buckets 0 grown 0 b;
+      buckets := grown
+    end;
+    let members = !buckets.(b) in
     let dominated =
       List.exists
-        (fun s ->
-          next.acc.(s) <= acc_v
-          &&
-          let base = s * m in
-          let rec le t = t >= m || (next.costs.(base + t) <= sc_costs.(t) && le (t + 1)) in
-          le 0)
-        !bucket
+        (fun s -> next.acc.(s) <= acc_v && costs_le next.vec (s * w) cand 0 0)
+        members
     in
     if not dominated then begin
-      bucket :=
+      let kept =
         List.filter
           (fun s ->
-            let dom =
-              acc_v <= next.acc.(s)
-              &&
-              let base = s * m in
-              let rec le t =
-                t >= m || (sc_costs.(t) <= next.costs.(base + t) && le (t + 1))
-              in
-              le 0
-            in
-            if dom then begin
-              next.alive.(s) <- false;
-              decr live
-            end;
+            let dom = acc_v <= next.acc.(s) && costs_le cand 0 next.vec (s * w) 0 in
+            if dom then next.alive.(s) <- false;
             not dom)
-          !bucket;
-      let s = push_state m next ~ends:sc_ends ~costs:sc_costs ~acc:acc_v ~breaks:brk in
-      bucket := s :: !bucket;
-      incr live
+          members
+      in
+      let s = Dp_frontier.push next cand ~acc:acc_v ~breaks:brk in
+      !buckets.(b) <- s :: kept
     end
   in
   (* End choices for a task restarting at step i, memoized per
@@ -254,18 +142,16 @@ let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
   (* Expand a state across step [i]: tasks whose block ended at [i-1]
      (for the initial level: all tasks, signalled by end = -1) restart
      with a new block end, then the step's costs are charged.  The
-     odometer walks the candidate cross-product on two scratch arrays;
+     odometer walks the candidate cross-product on one scratch vector;
      states are copied only when they survive dominance insertion. *)
-  let sc_ends = Array.make m 0 and sc_costs = Array.make m 0 in
+  let scratch = Array.make w 0 in
   let restart_buf = Array.make m 0 in
   let emitted = ref 0 in
-  let expand cur si i next =
-    let base = si * m in
-    Array.blit cur.ends base sc_ends 0 m;
-    Array.blit cur.costs base sc_costs 0 m;
+  let expand (cur : Dp_frontier.level) si i next =
+    Array.blit cur.vec (si * w) scratch 0 w;
     let nrestart = ref 0 in
     for j = 0 to m - 1 do
-      if sc_ends.(j) = i - 1 then begin
+      if scratch.(j) = i - 1 then begin
         restart_buf.(!nrestart) <- j;
         incr nrestart
       end
@@ -289,120 +175,83 @@ let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
     let rec go r =
       if r = nrestart then begin
         incr emitted;
-        if !emitted land poll_mask = 0 && Hr_util.Budget.exhausted budget then
-          raise Cut;
-        let acc_v = acc0 + combine_reconf sc_costs in
-        if acc_v + bound <= ub then insert next sc_ends sc_costs acc_v brk
+        if !emitted land Dp_frontier.poll_mask = 0 && Hr_util.Budget.exhausted budget
+        then raise Cut;
+        let acc_v = acc0 + combine_reconf scratch m in
+        if acc_v + bound <= ub then insert next scratch acc_v brk
       end
       else begin
         let j = restart_buf.(r) in
         let cands = candidates j i in
         for ci = 0 to Array.length cands - 1 do
           let hi = cands.(ci) in
-          sc_ends.(j) <- hi;
-          sc_costs.(j) <- sc j i hi;
+          scratch.(j) <- hi;
+          scratch.(m + j) <- sc j i hi;
           go (r + 1)
         done
       end
     in
     go 0
   in
-  (* Beam truncation: keep the cap most promising live states (lowest
-     accumulated cost, insertion order on ties) and tombstone the
-     rest. *)
-  let truncate next =
-    match max_states with
-    | Some cap when !live > cap ->
-        truncated := true;
-        incr truncations;
-        let order = Array.make !live 0 in
-        let k = ref 0 in
-        for s = 0 to next.len - 1 do
-          if next.alive.(s) then begin
-            order.(!k) <- s;
-            incr k
-          end
-        done;
-        Array.sort
-          (fun a b ->
-            let c = compare next.acc.(a) next.acc.(b) in
-            if c <> 0 then c else compare a b)
-          order;
-        for k = cap to !live - 1 do
-          next.alive.(order.(k)) <- false
-        done;
-        live := cap
-    | _ -> ()
-  in
   (* Budget cut-off: finish a state deterministically by giving every
      task that restarts from step [i] onwards the run-to-the-end block.
      O(n·m), always admissible, never exact. *)
-  let finish_cheaply i0 ends costs acc0 breaks0 =
+  let finish_cheaply i0 st acc0 breaks0 =
     let acc = ref acc0 and breaks = ref breaks0 in
     for i = i0 to n - 1 do
       let hyper = ref 0 in
       for j = 0 to m - 1 do
-        if ends.(j) = i - 1 then begin
+        if st.(j) = i - 1 then begin
           (if hyper_par then begin
              if v.(j) > !hyper then hyper := v.(j)
            end
            else hyper := !hyper + v.(j));
-          ends.(j) <- n - 1;
-          costs.(j) <- sc j i (n - 1);
+          st.(j) <- n - 1;
+          st.(m + j) <- sc j i (n - 1);
           breaks := (j, i) :: !breaks
         end
       done;
-      acc := !acc + !hyper + combine_reconf costs
+      acc := !acc + !hyper + combine_reconf st m
     done;
     (!acc, !breaks)
-  in
-  let best_live cur =
-    let best = ref (-1) in
-    for s = 0 to cur.len - 1 do
-      if cur.alive.(s) && (!best < 0 || cur.acc.(s) < cur.acc.(!best)) then best := s
-    done;
-    !best
   in
   (* Collapse the frontier to its most promising state and complete it
      cheaply: a best-so-far plan in O(n·m) instead of the remaining
      exponential expansion. *)
-  let collapse cur i =
+  let collapse (cur : Dp_frontier.level) i =
     cut := true;
-    let b = best_live cur in
+    let b = Dp_frontier.best cur in
     if b < 0 then None
-    else
-      let ends = Array.sub cur.ends (b * m) m in
-      let costs = Array.sub cur.costs (b * m) m in
-      Some (finish_cheaply i ends costs cur.acc.(b) cur.breaks.(b))
+    else Some (finish_cheaply i (Array.sub cur.vec (b * w) w) cur.acc.(b) cur.breaks.(b))
   in
-  let rec advance i cur next =
+  let cap = Option.value max_states ~default:max_int in
+  let rec advance i (cur : Dp_frontier.level) next =
     if i >= n then begin
-      let b = best_live cur in
+      let b = Dp_frontier.best cur in
       if b < 0 then None else Some (cur.acc.(b), cur.breaks.(b))
     end
     else if Hr_util.Budget.exhausted budget then collapse cur i
     else begin
-      next.len <- 0;
-      reset_buckets ();
-      live := 0;
+      Dp_frontier.clear next;
+      Array.fill !buckets 0 (Dp_frontier.Index.count index) [];
+      Dp_frontier.Index.reset index ~lo:(-1) ~hi:(n - 1);
       match
+        (* [cur] was compacted, so every state in it is live. *)
         for si = 0 to cur.len - 1 do
-          if cur.alive.(si) then expand cur si i next
+          expand cur si i next
         done
       with
       | () ->
-          explored := !explored + !live;
-          truncate next;
+          let live = Dp_frontier.compact next ~cap in
+          explored := !explored + live;
+          if live > cap then incr truncations;
           advance (i + 1) next cur
       | exception Cut -> collapse cur i
     end
   in
-  let cur = make_level m 1024 and next = make_level m 1024 in
-  for j = 0 to m - 1 do
-    sc_ends.(j) <- -1;
-    sc_costs.(j) <- 0
-  done;
-  ignore (push_state m cur ~ends:sc_ends ~costs:sc_costs ~acc:0 ~breaks:[]);
+  let cur = Dp_frontier.create ~width:w 1024 and next = Dp_frontier.create ~width:w 1024 in
+  Array.fill scratch 0 m (-1);
+  ignore (Dp_frontier.push cur scratch ~acc:0 ~breaks:[]);
   match advance 0 cur next with
   | None ->
       (* Can only happen when the given upper bound was unachievable. *)
@@ -417,7 +266,7 @@ let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
            [candidates]), so it must never claim exactness — even on
            runs where the frontier itself was not truncated.  A budget
            cut-off likewise forfeits the certificate. *)
-        exact = (not beam) && (not !truncated) && not !cut;
+        exact = (not beam) && not !cut;
         states_explored = !explored;
         truncations = !truncations;
         cut_off = !cut;

@@ -27,17 +27,12 @@
     with [max_states] set it degrades gracefully into an inadmissible
     beam search (reported via [exact = false]).
 
-    {b Representation.}  The engine stores each DP level as flat
-    struct-of-arrays buffers ([ends] / [costs] packed [m] entries per
-    state, plus accumulated cost, breaks history, and a liveness
-    tombstone), reused across levels.  Dominance buckets are keyed by
-    the block-end vector packed into a single [int] when
-    [m · ⌈log₂ n⌉ ≤ 62] bits — always the case under the exact-mode
-    n^m ≤ 2·10⁶ guard — and fall back to a byte-string key beyond the
-    packing limit (reachable only in beam mode).  Pareto filtering is
-    incremental: each candidate is checked against its bucket on
-    insertion and evicts the members it dominates, replacing the old
-    per-level group-then-scan pass. *)
+    {b Representation.}  Levels, state keys and the beam cut live in
+    {!Dp_frontier}.  A state's vector is its per-task block ends
+    followed by the per-step costs of those blocks, and the block ends
+    key the dominance buckets.  Pareto filtering is incremental: each
+    candidate is checked against its bucket on insertion and evicts
+    the members it dominates. *)
 
 type outcome = {
   cost : int;
@@ -48,6 +43,8 @@ type outcome = {
           never a certificate even when nothing was truncated) or the
           budget cut the run off *)
   states_explored : int;
+      (** live states summed over the levels, each counted before its
+          beam cut *)
   truncations : int;
       (** number of DP levels whose frontier was cut to [max_states] —
           the beam-pressure telemetry counter (0 in exact mode) *)
@@ -62,13 +59,15 @@ type outcome = {
     restricted to the cost-jump frontier, so large instances stay
     tractable at the price of exactness.  The [budget] (default
     {!Hr_util.Budget.unlimited}) is polled at every DP level and every
-    4096 states emitted within a level — a deadline cuts even a single
+    4096 states emitted within a level ({!Dp_frontier.poll_mask}) — a
+    deadline cuts even a single
     oversized expansion off promptly; on
     exhaustion the most promising frontier state is completed
     deterministically in O(n·m) (remaining tasks run to the end) and
     returned with [cut_off = true], [exact = false].  Exact mode raises
     [Invalid_argument] when the initial level (n^m states) would
-    exceed two million — use the beam or a metaheuristic there. *)
+    exceed two million ({!Dp_frontier.exact_fits}) — use the beam or a
+    metaheuristic there. *)
 val solve :
   ?params:Sync_cost.params ->
   ?upper_bound:int ->

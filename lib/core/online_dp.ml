@@ -3,10 +3,10 @@ module Budget = Hr_util.Budget
 type t = {
   problem : Problem.t;
   n_done : int;
-  len : int;
-  starts : int array;  (* len * m: open-block start of each task *)
-  acc : int array;  (* len: cost charged for steps 0 .. n_done-1 *)
-  breaks : (int * int) list array;  (* len: (task, step), latest first *)
+  level : Dp_frontier.level;
+      (* width m: each task's open-block start; [acc] is the cost
+         charged for steps 0 .. n_done-1.  Never mutated: [advance]
+         works on a copy. *)
   explored : int;
   truncations : int;
   cut : bool;
@@ -14,17 +14,9 @@ type t = {
 }
 
 let horizon t = t.n_done
-let frontier (t : t) = t.len
+let frontier (t : t) = t.level.len
 let states_explored t = t.explored
-
-let best_slot (t : t) =
-  let best = ref 0 in
-  for s = 1 to t.len - 1 do
-    if t.acc.(s) < t.acc.(!best) then best := s
-  done;
-  !best
-
-let best_cost t = t.acc.(best_slot t)
+let best_cost t = t.level.acc.(Dp_frontier.best t.level)
 
 let supports p =
   p.Problem.mode = Mixed_sync.Fully_synchronized
@@ -32,19 +24,9 @@ let supports p =
   && Problem.n p >= 1
   && Problem.m p <= 12
 
-(* Mirror Mt_dp's exact-mode guard: the frontier holds at most n^m
-   start vectors. *)
-let exact_ok p =
-  let m = Problem.m p and n = float_of_int (Problem.n p) in
-  let rec go j acc =
-    if j >= m || acc > 2_000_000. then acc else go (j + 1) (acc *. n)
-  in
-  go 0 1. <= 2_000_000.
+let exact_ok p = Dp_frontier.exact_fits ~m:(Problem.m p) ~n:(Problem.n p)
 
 exception Cut
-
-(* Poll the budget every 4096 emitted candidates, like Mt_dp. *)
-let poll_mask = 4095
 
 let combine params v mask m =
   match (params.Sync_cost.hyper : Sync_cost.upload) with
@@ -61,45 +43,14 @@ let combine params v mask m =
       done;
       !s
 
-(* Smallest b with max < 2^b (b >= 1): the per-task field width of the
-   packed start-vector key at a level where starts range over
-   [0..max].  Any injective key works — slot order, and hence
-   determinism, comes from the emission order alone. *)
-let bits_for max =
-  let rec go b = if max < 1 lsl b then b else go (b + 1) in
-  go 1
-
-type level = {
-  mutable s : int array;
-  mutable a : int array;
-  mutable b : (int * int) list array;
-  mutable len : int;
-  mutable cap : int;
-}
-
-let make_level m cap =
-  {
-    s = Array.make (cap * m) 0;
-    a = Array.make cap 0;
-    b = Array.make cap [];
-    len = 0;
-    cap;
-  }
-
-let ensure lv m needed =
-  if needed > lv.cap then begin
-    let cap = max needed (2 * lv.cap) in
-    let s = Array.make (cap * m) 0
-    and a = Array.make cap 0
-    and b = Array.make cap [] in
-    Array.blit lv.s 0 s 0 (lv.len * m);
-    Array.blit lv.a 0 a 0 lv.len;
-    Array.blit lv.b 0 b 0 lv.len;
-    lv.s <- s;
-    lv.a <- a;
-    lv.b <- b;
-    lv.cap <- cap
-  end
+(* The history of a state that restarts the tasks in [mask] at step
+   [i]. *)
+let restart_breaks breaks mask i m =
+  let l = ref breaks in
+  for j = 0 to m - 1 do
+    if mask land (1 lsl j) <> 0 then l := (j, i) :: !l
+  done;
+  !l
 
 (* Run the DP across steps [t.n_done .. upto-1] of [problem] (>= 1:
    step 0 is laid down by [start]).  The level loop is oblivious to
@@ -122,15 +73,11 @@ let advance ~budget (t : t) problem ~upto =
   Array.iter
     (fun mask -> hyper_of.(mask) <- combine params oracle.Interval_cost.v mask m)
     masks;
-  let cur = make_level m (max 16 t.len) in
-  Array.blit t.starts 0 cur.s 0 (t.len * m);
-  Array.blit t.acc 0 cur.a 0 t.len;
-  Array.blit t.breaks 0 cur.b 0 t.len;
-  cur.len <- t.len;
-  let nxt = make_level m 1024 in
-  let slots_int : (int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let slots_str : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let cur = ref (Dp_frontier.copy t.level) in
+  let nxt = ref (Dp_frontier.create ~width:m 1024) in
+  let index = Dp_frontier.Index.create ~fields:m in
   let scratch = Array.make m 0 in
+  let cap = Option.value t.max_states ~default:max_int in
   let explored = ref t.explored in
   let truncations = ref t.truncations in
   let cut = ref t.cut in
@@ -140,17 +87,15 @@ let advance ~budget (t : t) problem ~upto =
      for i = t.n_done to upto - 1 do
        step_done := i;
        if Budget.exhausted budget then raise Cut;
-       Hashtbl.reset slots_int;
-       Hashtbl.reset slots_str;
-       nxt.len <- 0;
-       let kb = bits_for i in
-       let packable = m * kb <= 62 in
-       for s = 0 to cur.len - 1 do
+       let cur_l = !cur and nxt_l = !nxt in
+       Dp_frontier.clear nxt_l;
+       Dp_frontier.Index.reset index ~lo:0 ~hi:i;
+       for s = 0 to cur_l.len - 1 do
          let base = s * m in
          for mi = 0 to nmasks - 1 do
            let mask = masks.(mi) in
            incr emitted;
-           if !emitted land poll_mask = 0 && Budget.exhausted budget then
+           if !emitted land Dp_frontier.poll_mask = 0 && Budget.exhausted budget then
              raise Cut;
            let chg = ref (pub + hyper_of.(mask)) in
            for j = 0 to m - 1 do
@@ -159,97 +104,32 @@ let advance ~budget (t : t) problem ~upto =
                chg := !chg + sc j i i
              end
              else begin
-               let lo = cur.s.(base + j) in
+               let lo = cur_l.vec.(base + j) in
                scratch.(j) <- lo;
                chg :=
                  !chg + ((i - lo + 1) * sc j lo i) - ((i - lo) * sc j lo (i - 1))
              end
            done;
-           let acc' = cur.a.(s) + !chg in
-           let ikey = ref 0 and skey = ref "" in
-           if packable then
-             for j = 0 to m - 1 do
-               ikey := (!ikey lsl kb) lor scratch.(j)
-             done
-           else begin
-             let bytes = Bytes.create (m * 4) in
-             for j = 0 to m - 1 do
-               Bytes.set_int32_le bytes (j * 4) (Int32.of_int scratch.(j))
-             done;
-             skey := Bytes.unsafe_to_string bytes
-           end;
-           let existing =
-             if packable then Hashtbl.find_opt slots_int !ikey
-             else Hashtbl.find_opt slots_str !skey
-           in
-           let mk_breaks () =
-             let l = ref cur.b.(s) in
-             for j = 0 to m - 1 do
-               if mask land (1 lsl j) <> 0 then l := (j, i) :: !l
-             done;
-             !l
-           in
-           match existing with
-           | Some sl ->
-               (* Equal start vectors have identical futures: keep the
-                  strictly cheaper one (ties keep the first emission,
-                  for determinism). *)
-               if acc' < nxt.a.(sl) then begin
-                 nxt.a.(sl) <- acc';
-                 nxt.b.(sl) <- mk_breaks ()
-               end
-           | None ->
-               ensure nxt m (nxt.len + 1);
-               let sl = nxt.len in
-               Array.blit scratch 0 nxt.s (sl * m) m;
-               nxt.a.(sl) <- acc';
-               nxt.b.(sl) <- mk_breaks ();
-               if packable then Hashtbl.add slots_int !ikey sl
-               else Hashtbl.add slots_str !skey sl;
-               nxt.len <- sl + 1
+           let acc' = cur_l.acc.(s) + !chg in
+           (* One slot per start vector, numbered in emission order. *)
+           let sl = Dp_frontier.Index.find_or_add index scratch in
+           if sl = nxt_l.len then
+             ignore
+               (Dp_frontier.push nxt_l scratch ~acc:acc'
+                  ~breaks:(restart_breaks cur_l.breaks.(s) mask i m))
+           else if acc' < nxt_l.acc.(sl) then begin
+             (* Equal start vectors have identical futures: keep the
+                strictly cheaper one (ties keep the first emission, for
+                determinism). *)
+             nxt_l.acc.(sl) <- acc';
+             nxt_l.breaks.(sl) <- restart_breaks cur_l.breaks.(s) mask i m
+           end
          done
        done;
-       (match t.max_states with
-       | Some cap when nxt.len > cap ->
-           (* Beam truncation: keep the cheapest [cap] states, ties by
-              insertion index, survivors in insertion order. *)
-           let idx = Array.init nxt.len Fun.id in
-           Array.sort
-             (fun x y ->
-               let c = compare nxt.a.(x) nxt.a.(y) in
-               if c <> 0 then c else compare x y)
-             idx;
-           let keep = Array.sub idx 0 cap in
-           Array.sort compare keep;
-           let s = Array.make (cap * m) 0
-           and a = Array.make cap 0
-           and b = Array.make cap [] in
-           Array.iteri
-             (fun k old ->
-               Array.blit nxt.s (old * m) s (k * m) m;
-               a.(k) <- nxt.a.(old);
-               b.(k) <- nxt.b.(old))
-             keep;
-           nxt.s <- s;
-           nxt.a <- a;
-           nxt.b <- b;
-           nxt.cap <- cap;
-           nxt.len <- cap;
-           incr truncations
-       | _ -> ());
-       explored := !explored + nxt.len;
-       (* Swap the level buffers; nxt is rebuilt next iteration. *)
-       let s = cur.s and a = cur.a and b = cur.b and cap = cur.cap in
-       cur.s <- nxt.s;
-       cur.a <- nxt.a;
-       cur.b <- nxt.b;
-       cur.cap <- nxt.cap;
-       cur.len <- nxt.len;
-       nxt.s <- s;
-       nxt.a <- a;
-       nxt.b <- b;
-       nxt.cap <- cap;
-       nxt.len <- 0;
+       if Dp_frontier.compact nxt_l ~cap > cap then incr truncations;
+       explored := !explored + nxt_l.len;
+       cur := nxt_l;
+       nxt := cur_l;
        step_done := i + 1
      done
    with Cut ->
@@ -257,13 +137,10 @@ let advance ~budget (t : t) problem ~upto =
         horizon and fast-forward the remaining steps with no further
         restarts — cheap, admissible, marked cut off. *)
      cut := true;
-     let best = ref 0 in
-     for s = 1 to cur.len - 1 do
-       if cur.a.(s) < cur.a.(!best) then best := s
-     done;
-     let b = !best in
-     let starts = Array.sub cur.s (b * m) m in
-     let acc = ref cur.a.(b) in
+     let lv = !cur in
+     let b = Dp_frontier.best lv in
+     let starts = Array.sub lv.vec (b * m) m in
+     let acc = ref lv.acc.(b) in
      for i = !step_done to upto - 1 do
        let chg = ref pub in
        for j = 0 to m - 1 do
@@ -272,18 +149,14 @@ let advance ~budget (t : t) problem ~upto =
        done;
        acc := !acc + !chg
      done;
-     Array.blit starts 0 cur.s 0 m;
-     cur.a.(0) <- !acc;
-     cur.b.(0) <- cur.b.(b);
-     cur.len <- 1);
+     let breaks = lv.breaks.(b) in
+     Dp_frontier.clear lv;
+     ignore (Dp_frontier.push lv starts ~acc:!acc ~breaks));
   {
     t with
     problem;
     n_done = upto;
-    len = cur.len;
-    starts = Array.sub cur.s 0 (cur.len * m);
-    acc = Array.sub cur.a 0 cur.len;
-    breaks = Array.sub cur.b 0 cur.len;
+    level = Dp_frontier.copy !cur;
     explored = !explored;
     truncations = !truncations;
     cut = !cut;
@@ -307,19 +180,18 @@ let start ?max_states ?(budget = Budget.unlimited) problem =
   (* Step 0: column 0 is all-true — every task restarts. *)
   let full = (1 lsl m) - 1 in
   let acc0 = ref (params.Sync_cost.w + params.Sync_cost.pub + combine params v full m) in
-  let breaks0 = ref [] in
   for j = 0 to m - 1 do
-    acc0 := !acc0 + oracle.Interval_cost.step_cost j 0 0;
-    breaks0 := (j, 0) :: !breaks0
+    acc0 := !acc0 + oracle.Interval_cost.step_cost j 0 0
   done;
+  let level = Dp_frontier.create ~width:m 1 in
+  ignore
+    (Dp_frontier.push level (Array.make m 0) ~acc:!acc0
+       ~breaks:(restart_breaks [] full 0 m));
   let t0 =
     {
       problem;
       n_done = 1;
-      len = 1;
-      starts = Array.make m 0;
-      acc = [| !acc0 |];
-      breaks = [| !breaks0 |];
+      level;
       explored = 1;
       truncations = 0;
       cut = false;
@@ -357,10 +229,10 @@ let extend ?(budget = Budget.unlimited) t problem' =
   else advance ~budget t problem' ~upto:(Problem.n problem')
 
 let solution t =
-  let best = best_slot t in
+  let best = Dp_frontier.best t.level in
   let m = Problem.m t.problem in
   let rows = Array.make m [] in
-  List.iter (fun (j, i) -> rows.(j) <- i :: rows.(j)) t.breaks.(best);
+  List.iter (fun (j, i) -> rows.(j) <- i :: rows.(j)) t.level.breaks.(best);
   let bp = Breakpoints.of_rows ~m ~n:t.n_done rows in
   let cost = Problem.eval t.problem bp in
   let exact = (not t.cut) && t.max_states = None in
@@ -368,7 +240,7 @@ let solution t =
     ~stats:
       [
         ("states", string_of_int t.explored);
-        ("frontier", string_of_int t.len);
+        ("frontier", string_of_int t.level.len);
         ("truncations", string_of_int t.truncations);
       ]
     ~cost bp

@@ -36,12 +36,11 @@
     futures, so only the cheapest survives.
 
     {b Determinism.}  Levels are processed in state-index order and
-    restart subsets in increasing bitmask order; the key table is used
-    only for slot lookup (never iterated) and ties keep the first
-    insertion, so runs are reproducible and [start] on a full trace
-    equals [start] on a prefix followed by [extend] — plan, cost, and
-    state counts alike.  The suite and the [online-replay] hrcheck
-    column pin this. *)
+    restart subsets in increasing bitmask order; keys, slots and the
+    beam cut follow {!Dp_frontier}'s deterministic rules, so runs are
+    reproducible and [start] on a full trace equals [start] on a prefix
+    followed by [extend] — plan, cost, and state counts alike.  The
+    suite and the [online-replay] hrcheck column pin this. *)
 
 type t
 
@@ -51,8 +50,8 @@ type t
     enumerated as bitmasks). *)
 val supports : Problem.t -> bool
 
-(** [exact_ok p] mirrors {!Mt_dp}'s exact-size guard: the frontier
-    (at most [n^m] start vectors) must stay within two million
+(** [exact_ok p] is {!Dp_frontier.exact_fits} at [p]'s size: the
+    frontier (at most [n^m] start vectors) must stay within two million
     states.  Beyond it, pass [~max_states] to beam-truncate. *)
 val exact_ok : Problem.t -> bool
 
@@ -88,8 +87,8 @@ val horizon : t -> int
 (** [frontier t] is the number of live states. *)
 val frontier : t -> int
 
-(** [states_explored t] counts every state ever inserted (cumulative
-    across {!extend}s). *)
+(** [states_explored t] counts the states of every level after its
+    beam cut (cumulative across {!extend}s). *)
 val states_explored : t -> int
 
 (** [best_cost t] is the cheapest state's charged cost — equals

@@ -68,11 +68,13 @@ type t = {
     [max_bytes] caps the dense-table memory (default
     {!Interval_cost.default_max_bytes}); an over-budget custom oracle
     stays direct.  [cache_dir] names a persistent {!Table_cache}
-    directory: the dense table is loaded from it when a valid entry
-    exists (no oracle calls) and stored into it after a fresh build.  The cache key is the oracle's own structural
-    [fingerprint]; [cache_key] overrides it for oracles whose
-    constructor could not derive one (the caller then asserts the key
-    captures every input).
+    directory that a dense table built for this instance is stored
+    into.  [make] does not look the table up: a caller with a warm
+    directory maps it first with {!Interval_cost.of_cache} and passes
+    the mapped oracle, as {!of_task_set} does.  The cache key is the
+    oracle's own structural [fingerprint]; [cache_key] overrides it for
+    oracles whose constructor could not derive one (the caller then
+    asserts the key captures every input).
 
     Raises [Invalid_argument] when a non-fully-synchronized mode is
     combined with parameters {!Mixed_sync} cannot evaluate (nonzero

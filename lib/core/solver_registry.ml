@@ -64,13 +64,6 @@ let partial p = p.Problem.machine_class <> Problem.All_task
    predicates. *)
 let sized p = Problem.plain p && Problem.n p >= 1
 
-(* Mt_dp's exact mode refuses instances whose initial level (n^m
-   states) exceeds two million; mirror its guard. *)
-let dp_fan_out_ok p =
-  let m = Problem.m p and n = float_of_int (Problem.n p) in
-  let rec go j acc = if j >= m || acc > 2_000_000. then acc else go (j + 1) (acc *. n) in
-  go 0 1. <= 2_000_000.
-
 let st_dp =
   Solver.make ~name:"st-dp" ~kind:Solver.Exact
     ~doc:"single-task O(n^2) DP of [9] (exact)"
@@ -103,7 +96,9 @@ let dp_stats (r : Mt_dp.outcome) =
 let mt_dp =
   Solver.make ~name:"mt-dp" ~kind:Solver.Exact
     ~doc:"exact multi-task DP (Theorem 1), n^m <= 2e6"
-    ~handles:(fun p -> sized p && fully p && partial p && dp_fan_out_ok p)
+    ~handles:(fun p ->
+      sized p && fully p && partial p
+      && Dp_frontier.exact_fits ~m:(Problem.m p) ~n:(Problem.n p))
     (fun ~budget ~rng:_ p ->
       let params = p.Problem.params in
       let ub = (Mt_greedy.best ~params p.Problem.oracle).Mt_greedy.cost in

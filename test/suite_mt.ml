@@ -195,6 +195,117 @@ let test_mt_dp_single_step () =
   let r = Mt_dp.solve (Interval_cost.of_task_set ts) in
   check int "cost" (4 + 2) r.Mt_dp.cost
 
+(* ------------------------------------------------------------------ *)
+(* Dp_frontier: the level, key index and beam policy both DP engines
+   share. *)
+
+(* Key numbers against a first-sight numbering of the key lists, at
+   [fields] fields in [lo .. hi].  The vectors carry [fields] junk
+   trailing ints (as Mt_dp's cost fields), which must not reach the
+   key, and are drawn from a small pool so that keys repeat. *)
+let check_index ~fields ~lo ~hi =
+  let rng = Rng.create (fields + hi) in
+  let ix = Dp_frontier.Index.create ~fields in
+  let field () =
+    match Rng.int rng 4 with 0 -> lo | 1 -> hi | _ -> Rng.int_in rng lo hi
+  in
+  let pool = Array.init 40 (fun _ -> Array.init fields (fun _ -> field ())) in
+  (* Keys one field apart, at the top and the bottom of the range. *)
+  pool.(0) <- Array.make fields hi;
+  pool.(1) <- Array.init fields (fun j -> if j = 0 then hi - 1 else hi);
+  pool.(2) <- Array.init fields (fun j -> if j = fields - 1 then hi - 1 else hi);
+  pool.(3) <- Array.make fields lo;
+  for round = 0 to 1 do
+    Dp_frontier.Index.reset ix ~lo ~hi;
+    let seen = Hashtbl.create 64 in
+    for _ = 1 to 400 do
+      let key = pool.(Rng.int rng (Array.length pool)) in
+      let v = Array.append key (Array.init fields (fun _ -> Rng.int rng 1000)) in
+      let expected =
+        match Hashtbl.find_opt seen (Array.to_list key) with
+        | Some k -> k
+        | None ->
+            let k = Hashtbl.length seen in
+            Hashtbl.add seen (Array.to_list key) k;
+            k
+      in
+      check int (Printf.sprintf "round %d: key number" round) expected
+        (Dp_frontier.Index.find_or_add ix v)
+    done;
+    check int "count = distinct keys" (Hashtbl.length seen) (Dp_frontier.Index.count ix)
+  done
+
+let test_frontier_index () =
+  (* 6 fields of 10 bits: 60 bits pack into one int. *)
+  check_index ~fields:6 ~lo:0 ~hi:1023;
+  (* Mt_dp's range starts at -1. *)
+  check_index ~fields:6 ~lo:(-1) ~hi:1022;
+  (* 6 fields of 11 bits (66 bits) and 11 of 6 bits: string keys. *)
+  check_index ~fields:6 ~lo:0 ~hi:2047;
+  check_index ~fields:11 ~lo:0 ~hi:32
+
+let test_frontier_compact () =
+  let rng = Rng.create 17 in
+  for case = 0 to 49 do
+    let len = Rng.int rng 40 in
+    let cap = if case mod 5 = 0 then max_int else 1 + Rng.int rng 30 in
+    let lv = Dp_frontier.create ~width:2 4 in
+    let states =
+      List.init len (fun s ->
+          let acc = Rng.int rng 8 (* many ties *) in
+          ignore (Dp_frontier.push lv [| s; -s |] ~acc ~breaks:[ (s, acc) ]);
+          (s, acc))
+    in
+    let dead = List.filter (fun _ -> Rng.int rng 4 = 0) (List.map fst states) in
+    List.iter (fun s -> lv.Dp_frontier.alive.(s) <- false) dead;
+    let live = List.filter (fun (s, _) -> not (List.mem s dead)) states in
+    let kept =
+      List.sort compare
+        (List.filteri
+           (fun k _ -> k < cap)
+           (List.sort (fun (s, a) (s', a') -> compare (a, s) (a', s')) live))
+    in
+    check int "live before the cut" (List.length live) (Dp_frontier.compact lv ~cap);
+    check int "survivors" (List.length kept) lv.Dp_frontier.len;
+    List.iteri
+      (fun k (s, acc) ->
+        check int "vector moved along" s lv.Dp_frontier.vec.(2 * k);
+        check int "whole vector moved" (-s) lv.Dp_frontier.vec.((2 * k) + 1);
+        check int "acc moved along" acc lv.Dp_frontier.acc.(k);
+        check Alcotest.bool "breaks moved along" true
+          (lv.Dp_frontier.breaks.(k) = [ (s, acc) ]);
+        check Alcotest.bool "alive" true lv.Dp_frontier.alive.(k))
+      kept;
+    let cheapest =
+      List.fold_left
+        (fun best (s, a) ->
+          match best with Some (_, a') when a' <= a -> best | _ -> Some (s, a))
+        None live
+    in
+    let best = Dp_frontier.best lv in
+    match cheapest with
+    | None -> check int "best of an empty level" (-1) best
+    | Some (s, _) -> check int "best = first cheapest" s lv.Dp_frontier.vec.(2 * best)
+  done
+
+let test_frontier_exact_fits () =
+  List.iter
+    (fun (m, n, fits) ->
+      check Alcotest.bool (Printf.sprintf "%d^%d" n m) fits
+        (Dp_frontier.exact_fits ~m ~n))
+    [
+      (1, 2_000_000, true);
+      (1, 2_000_001, false);
+      (2, 1414, true);
+      (2, 1415, false);
+      (3, 125, true);
+      (3, 126, false);
+      (20, 2, true);
+      (21, 2, false);
+      (1000, 1, true);
+      (0, 5_000_000, true);
+    ]
+
 let tests =
   [
     qcheck_mt_dp_matches_brute;
@@ -211,4 +322,8 @@ let tests =
     qcheck_window_heuristic_valid;
     Alcotest.test_case "mt_dp beam" `Quick test_mt_dp_beam_reports_inexact;
     Alcotest.test_case "mt_dp single step" `Quick test_mt_dp_single_step;
+    Alcotest.test_case "dp_frontier index numbers keys" `Quick test_frontier_index;
+    Alcotest.test_case "dp_frontier compact keeps the cheapest" `Quick
+      test_frontier_compact;
+    Alcotest.test_case "dp_frontier exact_fits boundary" `Quick test_frontier_exact_fits;
   ]

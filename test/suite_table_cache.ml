@@ -389,6 +389,27 @@ let test_case_max_table_bytes () =
       check Alcotest.int "nothing stored" 0
         (Table_cache.stats (Table_cache.of_dir dir)).Table_cache.stores)
 
+(* A cold keyed build looks the store up once: a DAG oracle is built
+   by [precompute], which only writes the table back. *)
+let test_case_one_lookup_per_build () =
+  with_cache_dir (fun dir ->
+      let case =
+        match Hr_check.Corpus.load_file "corpus/dag-chain.json" with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "corpus dag-chain: %s" e
+      in
+      let stats () = Table_cache.stats (Table_cache.of_dir dir) in
+      ignore (Hr_check.Case.problem ~cache_dir:dir case);
+      let cold = stats () in
+      check Alcotest.int "cold: one miss" 1 cold.Table_cache.misses;
+      check Alcotest.int "cold: one store" 1 cold.Table_cache.stores;
+      check Alcotest.int "cold: no hit" 0 cold.Table_cache.hits;
+      ignore (Hr_check.Case.problem ~cache_dir:dir case);
+      let warm = stats () in
+      check Alcotest.int "warm: one hit" 1 warm.Table_cache.hits;
+      check Alcotest.int "warm: no new miss" 1 warm.Table_cache.misses;
+      check Alcotest.int "warm: no new store" 1 warm.Table_cache.stores)
+
 let test_of_cache_miss () =
   with_cache_dir (fun dir ->
       let cache = Table_cache.of_dir dir in
@@ -441,6 +462,8 @@ let tests =
       test_case_warm_path;
     Alcotest.test_case "Case.problem honours max_table_bytes" `Quick
       test_case_max_table_bytes;
+    Alcotest.test_case "Case.problem looks up once per build" `Quick
+      test_case_one_lookup_per_build;
     Alcotest.test_case "of_cache misses cleanly" `Quick test_of_cache_miss;
     Alcotest.test_case "Cli.positive strictness" `Quick test_cli_positive;
   ]
