@@ -59,6 +59,7 @@ let set t j i b =
 
 let row t j = Array.copy t.bp.(j)
 let matrix t = Array.map Array.copy t.bp
+let unsafe_matrix t = t.bp
 
 let intervals t j =
   let n = n t in

@@ -48,6 +48,11 @@ val row : t -> int -> bool array
 (** [matrix t] is a fresh copy of the raw matrix. *)
 val matrix : t -> bool array array
 
+(** [unsafe_matrix t] is the raw matrix itself, not a copy, for
+    read-only hot loops such as {!Sync_cost.eval}.  Writing to it
+    breaks [t]'s invariants. *)
+val unsafe_matrix : t -> bool array array
+
 (** [intervals t j] is the block decomposition of task [j]'s row as a
     list of inclusive [(lo, hi)] ranges covering [0..n-1]. *)
 val intervals : t -> int -> (int * int) list

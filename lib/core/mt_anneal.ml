@@ -9,7 +9,7 @@ let solve ?params ?config ?init ?(budget = Hr_util.Budget.unlimited) ~rng oracle
   in
   let problem =
     {
-      Anneal.cost = (fun g -> Sync_cost.eval ?params oracle (Breakpoints.of_matrix g));
+      Anneal.cost = Sync_cost.eval_matrix ?params oracle;
       neighbor = Mt_moves.mutate;
     }
   in

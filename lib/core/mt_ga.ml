@@ -13,7 +13,7 @@ let solve ?params ?(config = Ga.default_config) ?(seeds = [])
     ?(budget = Hr_util.Budget.unlimited) ~rng oracle =
   let oracle = Interval_cost.precompute oracle in
   let m = oracle.Interval_cost.m and n = oracle.Interval_cost.n in
-  let cost g = Sync_cost.eval ?params oracle (Breakpoints.of_matrix g) in
+  let cost g = Sync_cost.eval_matrix ?params oracle g in
   let problem =
     {
       Ga.random =

@@ -15,7 +15,7 @@ let solve ?params ?init ?max_rounds ?(budget = Hr_util.Budget.unlimited) oracle 
   in
   let problem =
     {
-      Hillclimb.cost = (fun g -> Sync_cost.eval ?params oracle (Breakpoints.of_matrix g));
+      Hillclimb.cost = Sync_cost.eval_matrix ?params oracle;
       neighbors = Mt_moves.neighbors;
     }
   in

@@ -1,9 +1,11 @@
 (** Search moves on raw breakpoint matrices.
 
     The stochastic optimizers ({!Mt_ga}, {!Mt_anneal}, {!Mt_local})
-    share this kit of genome operators.  All functions treat matrices
-    as immutable (they return fresh arrays) and preserve the invariant
-    that column 0 stays all-true.  The [align] move exists because the
+    share this kit of genome operators.  All functions treat their
+    input matrices as immutable (they return fresh arrays) and preserve
+    the invariant that column 0 stays all-true.  Their outputs for
+    fixed seeds are pinned by the [moves] test suite: the optimizers'
+    plans depend on them draw for draw.  The [align] move exists because the
     task-parallel cost combines simultaneous hyperreconfigurations by
     [max]: aligning breakpoints across tasks is frequently free and the
     optimizers must be able to discover that (cf. the paper's Fig. 3,
@@ -28,7 +30,8 @@ val shift : Hr_util.Rng.t -> matrix -> matrix
 val align : Hr_util.Rng.t -> matrix -> matrix
 
 (** [mutate rng g] applies a geometric number of random moves drawn
-    from {!flip} / {!shift} / {!align}. *)
+    from {!flip} / {!shift} / {!align}.  It copies [g] once and runs
+    the whole chain in place on that copy. *)
 val mutate : Hr_util.Rng.t -> matrix -> matrix
 
 (** [crossover rng a b] mixes two parents: per-task row selection or a

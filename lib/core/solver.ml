@@ -1,5 +1,5 @@
 module Rng = Hr_util.Rng
-module Par = Hr_util.Par
+module Pool = Hr_util.Pool
 module Budget = Hr_util.Budget
 
 type kind = Exact | Heuristic | Stochastic
@@ -83,11 +83,23 @@ let solve_report ?rng ?seed ?(budget = Budget.unlimited) t problem =
 
 let run_all ?domains ?(seed = default_seed) ?(budget = Budget.unlimited)
     solvers problem =
-  let applicable = List.filter (fun s -> s.handles problem) solvers in
+  let contestants =
+    Array.of_list (List.filter (fun s -> s.handles problem) solvers)
+  in
+  let report s = solve_report ~seed ~budget s problem in
   Array.to_list
-    (Par.map_array ?domains
-       (fun s -> solve_report ~seed ~budget s problem)
-       (Array.of_list applicable))
+    (if Option.value domains ~default:(Pool.num_domains ()) <= 1 then
+       Array.map report contestants
+     else
+       (* One chunk per contestant: contestants' run times differ by
+          up to four orders of magnitude, so contiguous chunks would
+          queue the slow ones behind each other while a domain that
+          drew the fast ones idles.
+          Each free domain (a pool worker or the caller) claims the
+          next contestant instead; the reports still land in
+          contestant order. *)
+       Pool.map ~chunks:(Array.length contestants) (Pool.default ()) report
+         contestants)
 
 let solutions reports = List.filter_map (fun r -> r.solution) reports
 

@@ -121,9 +121,15 @@ val solve_report :
 
 (** [run_all ?domains ?seed ?budget solvers problem] filters [solvers]
     down to those whose capability predicate accepts [problem], runs
-    them in parallel on up to [domains] domains ({!Hr_util.Par}) under
-    a shared [budget], and returns one {!report} per contestant, in
-    [solvers] order — crashes and cut-offs included, nothing dropped. *)
+    them under a shared [budget], and returns one {!report} per
+    contestant, in [solvers] order — crashes and cut-offs included,
+    nothing dropped.  With [domains <= 1] (default
+    {!Hr_util.Pool.num_domains}) the contestants run one after the other
+    on the caller.  Otherwise each contestant is its own chunk on the
+    shared {!Hr_util.Pool.default}: every free domain, pool worker or
+    caller, claims the next contestant, so a slow contestant never
+    waits behind another in a chunk while a domain idles.  Scheduling
+    changes only [wall_ms], never a solution. *)
 val run_all :
   ?domains:int ->
   ?seed:int ->

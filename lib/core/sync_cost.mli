@@ -36,12 +36,33 @@ val default_params : params
 
 (** [eval ?params oracle bp] is the total (hyper)reconfiguration time of
     plan [bp].  Raises [Invalid_argument] when dimensions of [bp] and
-    [oracle] disagree. *)
+    [oracle] disagree.
+
+    It is one O(m·n) sweep over the plan's rows, which it reads in
+    place (no copy): [H_i] column by column, [R_i] from one walk over
+    each task's blocks with one [step_cost] query per block.
+    Task-sequential reconfiguration upload needs no per-step state;
+    task-parallel upload keeps the per-step maxima in one n-int scratch
+    array, allocated per call.  The kernel shares no state between
+    calls, so several domains may price plans concurrently (as
+    [Ga.config.domains > 1] does).  It equals [w] plus the sum of
+    {!eval_per_step}, the step-by-step reference, exactly. *)
 val eval : ?params:params -> Interval_cost.t -> Breakpoints.t -> int
+
+(** [eval_matrix ?params oracle g] is {!eval} on a raw breakpoint
+    matrix, priced in place: the genome representation of {!Mt_ga},
+    {!Mt_anneal} and {!Mt_local}, which would otherwise copy every
+    candidate through {!Breakpoints.of_matrix}.  It makes the same
+    checks as [eval (Breakpoints.of_matrix g)] and raises
+    [Invalid_argument] when [g] has no rows or not [m] of them, when a
+    row does not have [n] steps, or when a row lacks its step-0
+    breakpoint.  [g] is only read. *)
+val eval_matrix : ?params:params -> Interval_cost.t -> bool array array -> int
 
 (** [eval_per_step ?params oracle bp] returns per-step pairs
     [(H_i, R_i)] — the series plotted in Fig. 2-style renderings —
-    whose sum plus [w] equals {!eval}. *)
+    whose sum plus [w] equals {!eval}.  It transcribes the formula step
+    by step and is the reference the kernel is tested against. *)
 val eval_per_step : ?params:params -> Interval_cost.t -> Breakpoints.t -> (int * int) array
 
 (** [disabled_cost ?pub oracle ~machine_width] is the baseline with

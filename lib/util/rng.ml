@@ -1,36 +1,43 @@
-(* SplitMix64 (Steele, Lea, Flood 2014), on OCaml's 63-bit ints we keep
-   the full 64-bit state in an [int64] and expose 63 usable bits. *)
+(* SplitMix64 (Steele, Lea, Flood 2014).  The 64-bit state lives in 8
+   bytes, read and written with the native-endian int64 accessors, so a
+   draw keeps it unboxed (a [mutable int64] record field would box a
+   fresh [int64] on every write). *)
 
-type t = { mutable state : int64 }
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let copy = Bytes.copy
+
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* Keep the result a non-negative OCaml int: drop to 62 uniform bits
    (Int64.to_int of a 63-bit value would overflow into the sign bit). *)
-let bits64 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) land max_int
+let[@inline] bits64 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) land max_int
 
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling to avoid modulo bias. *)
   let max = max_int - (max_int mod bound) in
-  let rec go () =
-    let v = bits64 t in
-    if v >= max then go () else v mod bound
-  in
-  go ()
+  let v = ref (bits64 t) in
+  while !v >= max do
+    v := bits64 t
+  done;
+  !v mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
@@ -38,7 +45,7 @@ let int_in t lo hi =
 
 (* bits64 yields 62 bits, so dividing by 2^62 keeps the result in
    [0, 1). *)
-let float t = Stdlib.float_of_int (bits64 t) /. Stdlib.ldexp 1. 62
+let[@inline] float t = Stdlib.float_of_int (bits64 t) /. 0x1p62
 
 let bool t = bits64 t land 1 = 1
 

@@ -79,6 +79,106 @@ let qcheck_neighbors_enumeration =
                  !diff = 1)
                neighbors))
 
+(* ---- Pinned move outputs ---- *)
+
+(* The moves' outputs for fixed seeds, value for value, captured from
+   the copy-per-move implementation that the in-place chain replaced.
+   The GA and the annealer draw every genome through these moves, so a
+   change here changes the plans they return.  Matrices print as rows
+   of ['#'] (break) / ['.'], separated by ['|']. *)
+let show g =
+  String.concat "|"
+    (Array.to_list
+       (Array.map
+          (fun row -> String.init (Array.length row) (fun i -> if row.(i) then '#' else '.'))
+          g))
+
+let check_each name expected draw =
+  List.iteri
+    (fun k want -> Alcotest.(check string) (Printf.sprintf "%s %d" name k) want (draw ()))
+    expected
+
+let test_moves_pinned () =
+  let rng = Rng.create 7 in
+  let a = Mt_moves.random rng ~m:3 ~n:10 ~density:0.3 in
+  let b = Mt_moves.random rng ~m:3 ~n:10 ~density:0.3 in
+  Alcotest.(check string) "random a" "#.#...#..#|#.#.......|#...#....#" (show a);
+  Alcotest.(check string) "random b" "#....#.#..|##.##...##|#.......##" (show b);
+  check_each "mutate"
+    [
+      "#.#...#..#|#..#......|#...#....#";
+      "#.#...#..#|#.........|#...#....#";
+      "#.#...#..#|#.#.......|#...#...#.";
+      "#.#.#.#.##|#.#.#...#.|#...#...##";
+      "#.#...#..#|#.#.....#.|#...#....#";
+      "#..#..#.##|#.#.......|#...#...##";
+      "#.#...#..#|##........|#...#....#";
+      "#.#...#..#|#.#.......|#...#..#.#";
+    ]
+    (fun () -> show (Mt_moves.mutate rng a));
+  check_each "crossover"
+    [
+      "#.#...#..#|##.##...##|#...#....#";
+      "#.#..#.#..|#.#.....##|#...#...##";
+      "#.#...##..|#.#.....##|#...#...##";
+      "#.#...#..#|##.##...##|#...#....#";
+      "#....#.#..|#.#.......|#...#....#";
+      "#.#...#...|#.#......#|#...#....#";
+    ]
+    (fun () -> show (Mt_moves.crossover rng a b));
+  Alcotest.(check int) "draws consumed" 3211822710800502052 (Rng.bits64 rng);
+  let rng = Rng.create 11 in
+  let g = Mt_moves.random rng ~m:3 ~n:10 ~density:0.3 in
+  Alcotest.(check string) "random g" "#.#..#.#..|#.##...#..|#..#......" (show g);
+  check_each "flip"
+    [
+      "#.#..#.#.#|#.##...#..|#..#......";
+      "#.#..#.#..|#.##...#..|#..#...#..";
+      "#.#..###..|#.##...#..|#..#......";
+      "#.#..#.##.|#.##...#..|#..#......";
+    ]
+    (fun () -> show (Mt_moves.flip rng g));
+  check_each "shift"
+    [
+      "#.#..#.#..|#.##...#..|#..#......";
+      "#.#..#.#..|#.##...#..|#...#.....";
+      "#.#..#.#..|#.##...#..|#.#.......";
+      "#.#..##...|#.##...#..|#..#......";
+    ]
+    (fun () -> show (Mt_moves.shift rng g));
+  check_each "align"
+    [
+      "#.#..#....|#.##......|#..#......";
+      "#.#....#..|#.##...#..|#..#......";
+      "#.#..#.#..|#.##...#..|#..#......";
+      "#.#..#.#..|#.##...#..|#.##......";
+    ]
+    (fun () -> show (Mt_moves.align rng g))
+
+let test_moves_pinned_all_shapes () =
+  (* Every move on 20 random pairs of each shape m = 1..4, n = 1..12 —
+     the one- and two-step rows included — folded into one digest. *)
+  let buf = Buffer.create 4096 in
+  let rng = Rng.create 99 in
+  for m = 1 to 4 do
+    for n = 1 to 12 do
+      for _ = 1 to 20 do
+        let d = Rng.float rng in
+        let a = Mt_moves.random rng ~m ~n ~density:d in
+        let b = Mt_moves.random rng ~m ~n ~density:(1. -. d) in
+        let add g = Buffer.add_string buf (show g) in
+        add (Mt_moves.mutate rng a);
+        add (Mt_moves.crossover rng a b);
+        add (Mt_moves.shift rng a);
+        add (Mt_moves.align rng b);
+        add (Mt_moves.flip rng b)
+      done
+    done
+  done;
+  Alcotest.(check string) "digest" "854a8e281de0efd108f9d38b4aefb4fa"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  Alcotest.(check int) "draws consumed" 3652913111584627353 (Rng.bits64 rng)
+
 (* ---- Interval_cost oracle properties ---- *)
 
 let qcheck_oracle_monotone =
@@ -134,6 +234,8 @@ let tests =
     qcheck_moves_do_not_mutate_input;
     qcheck_crossover_invariants;
     qcheck_neighbors_enumeration;
+    Alcotest.test_case "moves pinned" `Quick test_moves_pinned;
+    Alcotest.test_case "moves pinned on all shapes" `Quick test_moves_pinned_all_shapes;
     qcheck_oracle_monotone;
     qcheck_precompute_transparent;
   ]

@@ -397,6 +397,59 @@ let test_race_surfaces_crash_and_still_wins () =
         (contains msg "crash-test")
   | _ -> Alcotest.fail "an all-crash race must raise"
 
+let test_race_gives_each_contestant_its_own_claim () =
+  (* 2·d contestants on d >= 2 domains: the first 2d - 2 return at once,
+     and the last two each wait, for at most 10 s, until the other has
+     started.  Contiguous chunks would put those two in one chunk, and
+     the first would wait out its cap before the second could start. *)
+  let d = max 2 (Hr_util.Par.num_domains ()) in
+  let problem = sample_problem () in
+  let greedy = Solver_registry.find_exn "greedy" in
+  let fixture name run =
+    Solver.make ~name ~kind:Solver.Heuristic ~doc:"test fixture"
+      ~handles:(fun _ -> true) run
+  in
+  let started = Atomic.make 0 and overlapped = Atomic.make 0 in
+  let waiter ~budget ~rng p =
+    Atomic.incr started;
+    let give_up = Hr_util.Budget.now_ms () +. 10_000. in
+    while Atomic.get started < 2 && Hr_util.Budget.now_ms () < give_up do
+      Unix.sleepf 0.001
+    done;
+    if Atomic.get started >= 2 then Atomic.incr overlapped;
+    greedy.Solver.run ~budget ~rng p
+  in
+  let contestants =
+    List.init ((2 * d) - 2) (fun k ->
+        fixture (Printf.sprintf "quick-%d" k) greedy.Solver.run)
+    @ [ fixture "waiter-a" waiter; fixture "waiter-b" waiter ]
+  in
+  let t0 = Hr_util.Budget.now_ms () in
+  let reports = Solver.run_all ~domains:d ~seed:5 contestants problem in
+  let elapsed = Hr_util.Budget.now_ms () -. t0 in
+  check bool
+    (Printf.sprintf "race took %.0f ms, well under the 10 s cap" elapsed)
+    true (elapsed < 5_000.);
+  check int "both waiters saw the other start" 2 (Atomic.get overlapped);
+  check (Alcotest.list Alcotest.string) "reports in contestant order"
+    (List.map (fun s -> s.Solver.name) contestants)
+    (List.map (fun r -> r.Solver.solver) reports);
+  List.iter
+    (fun r ->
+      check bool (r.Solver.solver ^ " finished") true (r.Solver.outcome = Solver.Finished))
+    reports;
+  (* The registry's own race: pooled and sequential runs agree report
+     for report, except for the wall clock. *)
+  let field = Solver_registry.applicable problem in
+  let strip reports = List.map (fun r -> { r with Solver.wall_ms = 0. }) reports in
+  let pooled = Solver.run_all ~domains:d ~seed:5 field problem in
+  let sequential = Solver.run_all ~domains:1 ~seed:5 field problem in
+  check (Alcotest.list Alcotest.string) "registry race in contestant order"
+    (List.map (fun s -> s.Solver.name) field)
+    (List.map (fun r -> r.Solver.solver) pooled);
+  check bool "pooled reports = sequential reports, wall_ms aside" true
+    (strip pooled = strip sequential)
+
 let test_map_array_applies_f_once_per_index () =
   let n = 9 in
   let counts = Array.init n (fun _ -> Atomic.make 0) in
@@ -703,6 +756,8 @@ let tests =
       test_portfolio_plan_export_saves_best;
     Alcotest.test_case "race contains and surfaces crashes" `Quick
       test_race_surfaces_crash_and_still_wins;
+    Alcotest.test_case "race gives each contestant its own claim" `Quick
+      test_race_gives_each_contestant_its_own_claim;
     Alcotest.test_case "Par.map_array applies f once per index" `Quick
       test_map_array_applies_f_once_per_index;
     Alcotest.test_case "deadline cut-off stays admissible" `Quick

@@ -127,6 +127,95 @@ let qcheck_m1_reduces_to_single_task =
       in
       Sync_cost.eval oracle bp = st)
 
+(* ---- The kernel against its definition ---- *)
+
+(* A random instance drawn from [seed]: per task a width of 1..6
+   switches, a [v] in 0..9 and one requirement per step.  The dense
+   oracle is the dense rung; the direct one counts each block's union
+   straight from the requirement lists on every query. *)
+let kernel_case (m, n, seed) =
+  let rng = Hr_util.Rng.create seed in
+  let widths = Array.init m (fun _ -> Hr_util.Rng.int_in rng 1 6) in
+  let reqs =
+    Array.map
+      (fun width ->
+        Array.init n (fun _ ->
+            List.filter (fun _ -> Hr_util.Rng.chance rng 0.3) (List.init width Fun.id)))
+      widths
+  in
+  let v = Array.init m (fun _ -> Hr_util.Rng.int rng 10) in
+  let ts =
+    Task_set.make
+      (Array.init m (fun j ->
+           Task_set.task ~name:(Printf.sprintf "T%d" j) ~v:v.(j)
+             (Trace.of_lists (Switch_space.make widths.(j)) (Array.to_list reqs.(j)))))
+  in
+  let dense = Interval_cost.of_task_set ~policy:Interval_cost.Dense ts in
+  let direct =
+    Interval_cost.make ~m ~n ~v ~step_cost:(fun j lo hi ->
+        let seen = Array.make widths.(j) false in
+        for i = lo to hi do
+          List.iter (fun x -> seen.(x) <- true) reqs.(j).(i)
+        done;
+        Array.fold_left (fun c b -> if b then c + 1 else c) 0 seen)
+  in
+  let g = Mt_moves.random rng ~m ~n ~density:(Hr_util.Rng.float rng) in
+  let w = Hr_util.Rng.int_in rng 1 50 and pub = Hr_util.Rng.int_in rng 1 8 in
+  (dense, direct, g, w, pub)
+
+let uploads = [ Sync_cost.Task_parallel; Sync_cost.Task_sequential ]
+
+let qcheck_kernel_matches_definition =
+  Tutil.prop "eval = w + sum of eval_per_step, eval_matrix = eval"
+    QCheck2.Gen.(triple (int_range 1 4) (int_range 1 40) (int_bound 1_000_000))
+    (fun (m, n, seed) -> Printf.sprintf "m=%d n=%d seed=%d" m n seed)
+    (fun case ->
+      let dense, direct, g, w, pub = kernel_case case in
+      let bp = Breakpoints.of_matrix g in
+      List.for_all
+        (fun hyper ->
+          List.for_all
+            (fun reconf ->
+              let params = { Sync_cost.w; pub; hyper; reconf } in
+              let priced oracle =
+                let reference =
+                  Array.fold_left
+                    (fun acc (h, r) -> acc + h + r)
+                    w
+                    (Sync_cost.eval_per_step ~params oracle bp)
+                in
+                let e = Sync_cost.eval ~params oracle bp in
+                if e <> reference then
+                  QCheck2.Test.fail_reportf "eval %d but the per-step sum is %d" e reference;
+                let em = Sync_cost.eval_matrix ~params oracle g in
+                if em <> e then
+                  QCheck2.Test.fail_reportf "eval_matrix %d but eval %d" em e;
+                e
+              in
+              priced dense = priced direct)
+            uploads)
+        uploads
+      (* The kernel only reads the matrix. *)
+      && g = Breakpoints.matrix bp)
+
+let test_eval_matrix_rejects_malformed () =
+  let ts, bp = example () in
+  let oracle = Interval_cost.of_task_set ts in
+  let g = Breakpoints.matrix bp in
+  let rejects what g =
+    match Sync_cost.eval_matrix oracle g with
+    | exception Invalid_argument _ -> ()
+    | c -> Alcotest.failf "%s: priced at %d instead of raising" what c
+  in
+  rejects "no rows" [||];
+  rejects "one row too few" [| g.(0) |];
+  rejects "one row too many" [| g.(0); g.(1); g.(1) |];
+  rejects "row too short" [| g.(0); Array.sub g.(1) 0 2 |];
+  rejects "row too long" [| g.(0); Array.append g.(1) [| false |] |];
+  rejects "step-0 bit unset" [| g.(0); [| false; false; false |] |];
+  check int "a well-formed matrix prices like its plan" (Sync_cost.eval oracle bp)
+    (Sync_cost.eval_matrix oracle g)
+
 let test_cost_eval_async () =
   (* Two tasks: T1 does (v=2) blocks (3 cost, 2 steps)+(1,1): 2+6+2+1 = 11.
      T2 (v=5): one block (2,4): 5+8 = 13.  Max = 13, +init 4 = 17. *)
@@ -165,4 +254,7 @@ let tests =
     qcheck_plan_cost_matches_oracle;
     qcheck_union_plans_valid;
     qcheck_m1_reduces_to_single_task;
+    qcheck_kernel_matches_definition;
+    Alcotest.test_case "eval_matrix rejects malformed matrices" `Quick
+      test_eval_matrix_rejects_malformed;
   ]

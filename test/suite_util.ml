@@ -72,6 +72,168 @@ let test_rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 20 Fun.id) sorted
 
+(* The SplitMix64 stream, pinned value for value: the first 32 draws of
+   each kind for two seeds, and the first streams of [split] and [copy].
+   The values were captured from the boxed-[int64] generator this one
+   replaced.  Every workload generator and stochastic solver draws from
+   this stream, so a change here changes generated instances and
+   plans, not only statistics. *)
+type pinned_stream = {
+  seed : int;
+  bits64 : int array;
+  int7 : string;  (** [Rng.int r 7], one digit per draw *)
+  int_in : int array;  (** [Rng.int_in r (-3) 3] *)
+  float : float array;
+  bool : string;  (** ['1'] for [true] *)
+  chance : string;  (** [Rng.chance r 0.4] *)
+  split_child : int array;  (** [bits64] of [Rng.split (Rng.create seed)] *)
+}
+
+let pinned_streams =
+  [
+    {
+      seed = 42;
+      bits64 =
+        [|
+          3419864383188818853; 737456523031723072; 1284820937115690964;
+          1587299515064563941; 175383196535490812; 4003995281415747265;
+          1007216178194406231; 3692262831746943977; 1567655219403120501;
+          2852245098062667243; 944942912856573551; 2273511335365284911;
+          2367621691557777849; 2398138063176555373; 3067506354810381239;
+          938178849217121532; 477651854551395997; 2285084233936398215;
+          430859011926661761; 3177204353049865752; 4414883413611604218;
+          336901045567871910; 2766164462476100981; 2858410777199325732;
+          342006375497199188; 1280053605451446596; 3421775590846900749;
+          3622476874840434247; 4343873076924128065; 3201329013802276752;
+          3642808914686572125; 3876198108700822295;
+        |];
+      int7 = "14341425364152064625561661003356";
+      int_in =
+        [|
+          -2; 1; 0; 1; -2; 1; -1; 2; 0; 3; 1; -2; 2; -1; -3; 3;
+          1; 3; -1; 2; 2; 3; -2; 3; 3; -2; -3; -3; 0; 0; 2; 3;
+        |];
+      float =
+        [|
+          0x1.7bae644c5fd6ep-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e8p-2;
+          0x1.607387fc392b9p-2; 0x1.378b0b4489048p-5; 0x1.bc8863f47901bp-1;
+          0x1.bf4b38e229bb7p-3; 0x1.99ec6bdd3d3c6p-1; 0x1.5c16e1dc2cf5fp-2;
+          0x1.3ca9ae7052fefp-1; 0x1.a3a39253bad8dp-3; 0x1.f8d2283914594p-2;
+          0x1.06dbdb12fe7c9p-1; 0x1.0a3f2ee68fdaep-1; 0x1.548fc63805cf2p-1;
+          0x1.a0a2962a6be1ap-3; 0x1.a83d752f35ebap-4; 0x1.fb64000fd9fe8p-2;
+          0x1.7eadff448a86ap-4; 0x1.60bd943452e57p-1; 0x1.ea268896c8ab4p-1;
+          0x1.2b3a6dd261f6fp-4; 0x1.331b1f6201943p-1; 0x1.3d58eba8a8e99p-1;
+          0x1.2fc33f229b7b9p-4; 0x1.1c3a9f8de6439p-2; 0x1.7be4b62a0c415p-1;
+          0x1.922cfc331f733p-1; 0x1.e2444c639b90ep-1; 0x1.636b3e36a6b0cp-1;
+          0x1.946edb428427bp-1; 0x1.ae582d24a13a6p-1;
+        |];
+      bool = "10010111111111101110001000111011";
+      chance = "01111010101000011010010011000000";
+      split_child =
+        [|
+          1583154557381516417; 4407603814059511829; 2242891356538814700;
+          310633454316549674; 3121722848377259470; 311336502044559405;
+          900900056621100893; 3388300065743444451;
+        |];
+    };
+    {
+      seed = 2004;
+      bits64 =
+        [|
+          4112105355947058687; 4316687754660702514; 2902765985087424929;
+          3720027921931285405; 1758361850357170485; 1900351314383319084;
+          3335180362695156323; 2569345583061006585; 2493256521170321068;
+          1170151090393149898; 2083108207759286241; 1314524513297323737;
+          2493967922636709450; 3641276779861286271; 101663766269899754;
+          121028861070272156; 2826897945696467427; 2462703948980421984;
+          2493472323150840870; 211631525819392444; 2595938010254667465;
+          2341315065375080814; 2810801958847740634; 3147787363001890517;
+          1516896677880544198; 3701016419705802095; 2859078899138062052;
+          2234476133381183966; 4303116151025334446; 413970631036579;
+          4116251058302315579; 3819375882265137385;
+        |];
+      int7 = "02400053152316411563250603416132";
+      int_in =
+        [|
+          -3; -1; 1; -3; -3; -3; 2; 0; -2; 2; -1; 0; -2; 3; 1; -2;
+          -2; 2; 3; 0; -1; 2; -3; 3; -3; 0; 1; -2; 3; -2; 0; -1;
+        |];
+      float =
+        [|
+          0x1.c889104661a53p-1; 0x1.df3fa522f6a35p-1; 0x1.4245924579c85p-1;
+          0x1.9d018d7bc9fdap-1; 0x1.866f4c9652341p-2; 0x1.a5f6773b243bp-2;
+          0x1.724786f4626d1p-1; 0x1.1d41318efc8fcp-1; 0x1.14ce9cc4f243fp-1;
+          0x1.03d36378c6b72p-2; 0x1.ce8afe0d0316p-2; 0x1.23e211487a157p-2;
+          0x1.14e2d4e56fd6fp-1; 0x1.94434f830414fp-1; 0x1.692ea8230bb3fp-6;
+          0x1.adfb1b9fa9e6ap-6; 0x1.39d945a1ec27dp-1; 0x1.116a418c8f703p-1;
+          0x1.14d4beef75642p-1; 0x1.77eee02fde90ep-5; 0x1.2034feee814f7p-1;
+          0x1.03f02d2d579e1p-1; 0x1.380fcbea18bbdp-1; 0x1.5d797f6e8187bp-1;
+          0x1.50d197dde0a3cp-2; 0x1.9ae53699639e7p-1; 0x1.3d6be8e2bf833p-1;
+          0x1.f0274345d461ap-2; 0x1.ddbdeab948e3cp-1; 0x1.78810c690ea3p-14;
+          0x1.c8fee43ac37b6p-1; 0x1.a809310830dc8p-1;
+        |];
+      bool = "10111011001101001000100101000111";
+      chance = "00001000010100110001000010000100";
+      split_child =
+        [|
+          599261739522493267; 1736191587904350465; 981235122415850366;
+          2769316562268212869; 2859252959652856550; 4063349007378177029;
+          3859262123059231685; 1848593030161216639;
+        |];
+    };
+  ]
+
+let test_rng_stream_pinned () =
+  let digits f r = String.init 32 (fun _ -> f r) in
+  let flag b = if b then '1' else '0' in
+  List.iter
+    (fun p ->
+      let draws f = f (Rng.create p.seed) in
+      let label what = Printf.sprintf "seed %d: %s" p.seed what in
+      check (Alcotest.array int) (label "bits64") p.bits64
+        (draws (fun r -> Array.init 32 (fun _ -> Rng.bits64 r)));
+      check Alcotest.string (label "int 7") p.int7
+        (draws (digits (fun r -> Char.chr (Char.code '0' + Rng.int r 7))));
+      check (Alcotest.array int) (label "int_in (-3) 3") p.int_in
+        (draws (fun r -> Array.init 32 (fun _ -> Rng.int_in r (-3) 3)));
+      check (Alcotest.array (Alcotest.float 0.)) (label "float") p.float
+        (draws (fun r -> Array.init 32 (fun _ -> Rng.float r)));
+      check Alcotest.string (label "bool") p.bool
+        (draws (digits (fun r -> flag (Rng.bool r))));
+      check Alcotest.string (label "chance 0.4") p.chance
+        (draws (digits (fun r -> flag (Rng.chance r 0.4))));
+      (* [split] consumes one draw of the parent and seeds the child
+         with it; [copy] shares the state without consuming any. *)
+      let next8 r = Array.init 8 (fun _ -> Rng.bits64 r) in
+      let after_first = Array.sub p.bits64 1 8 in
+      let parent = Rng.create p.seed in
+      let child = Rng.split parent in
+      check (Alcotest.array int) (label "split child") p.split_child (next8 child);
+      check (Alcotest.array int) (label "split parent") after_first (next8 parent);
+      let orig = Rng.create p.seed in
+      ignore (Rng.bits64 orig);
+      let dup = Rng.copy orig in
+      check (Alcotest.array int) (label "copy") after_first (next8 dup);
+      check (Alcotest.array int) (label "copied original") after_first (next8 orig))
+    pinned_streams
+
+let test_rng_draws_allocate_nothing () =
+  (* The state is read and written unboxed and [int] rejects in a loop,
+     so the integer draws allocate nothing at all.  [float] is not
+     measured: a float returned across modules is boxed by the calling
+     convention. *)
+  let r = Rng.create 17 in
+  let before = Gc.minor_words () in
+  let acc = ref 0 in
+  for _ = 1 to 10_000 do
+    acc := !acc + Rng.bits64 r + Rng.int r 7 + Rng.int_in r (-3) 3;
+    if Rng.bool r then incr acc;
+    if Rng.chance r 0.4 then incr acc
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  if words > 100. then Alcotest.failf "50000 draws allocated %.0f minor words" words
+
 let test_stats_summary () =
   let s = Stats.summarize [| 1.; 2.; 3.; 4. |] in
   check int "n" 4 s.Stats.n;
@@ -290,6 +452,9 @@ let tests =
     Alcotest.test_case "rng float range" `Quick test_rng_float_range;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle_permutes;
+    Alcotest.test_case "rng stream pinned" `Quick test_rng_stream_pinned;
+    Alcotest.test_case "rng draws allocate nothing" `Quick
+      test_rng_draws_allocate_nothing;
     Alcotest.test_case "stats summary" `Quick test_stats_summary;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats stddev" `Quick test_stats_stddev;
