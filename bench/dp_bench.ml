@@ -15,17 +15,14 @@ module Rng = Hr_util.Rng
 module W = Hr_workload
 open Hr_core
 
-(* The pre-flat-state engine, kept verbatim as the benchmark baseline
-   and differential reference.  Exact mode only — the beam branches are
-   retained so the code stays a faithful copy, but the bench never
-   passes ~max_states. *)
+(* The pre-flat-state engine, kept as the benchmark baseline and
+   differential reference: its exact mode verbatim. *)
 module Reference = struct
   type outcome = {
     cost : int;
     bp : Breakpoints.t;
     exact : bool;
     states_explored : int;
-    truncations : int;
     cut_off : bool;
   }
 
@@ -77,11 +74,10 @@ module Reference = struct
         List.rev_append survivors acc)
       groups []
 
-  let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
+  let solve ?(params = Sync_cost.default_params) ?upper_bound
       ?(budget = Hr_util.Budget.unlimited) (oracle : Interval_cost.t) =
     let m = oracle.Interval_cost.m and n = oracle.Interval_cost.n in
     let sc = oracle.Interval_cost.step_cost and v = oracle.Interval_cost.v in
-    let beam = max_states <> None in
     let suffix = Array.make (n + 1) 0 in
     for i = n - 1 downto 0 do
       let step_lb =
@@ -91,31 +87,9 @@ module Reference = struct
       suffix.(i) <- suffix.(i + 1) + step_lb
     done;
     let explored = ref 0 in
-    let truncated = ref false in
-    let truncations = ref 0 in
     let cut = ref false in
     let ub = ref (Option.value upper_bound ~default:max_int) in
-    let end_candidates j i =
-      if not beam then List.init (n - i) (fun k -> i + k)
-      else begin
-        let jumps = ref [ n - 1 ] in
-        let last = ref (-1) in
-        for hi = i to n - 1 do
-          let c = sc j i hi in
-          if c <> !last then begin
-            last := c;
-            if hi <> n - 1 then jumps := hi :: !jumps
-          end
-        done;
-        let all = List.sort_uniq compare !jumps in
-        let len = List.length all in
-        if len <= 32 then all
-        else
-          List.filteri
-            (fun k _ -> k mod ((len / 32) + 1) = 0 || k = len - 1)
-            all
-      end
-    in
+    let end_candidates i = List.init (n - i) (fun k -> i + k) in
     let expand_state i s =
       let restarting =
         List.filter (fun j -> s.ends.(j) = i - 1) (List.init m Fun.id)
@@ -136,7 +110,7 @@ module Reference = struct
                 ends'.(j) <- hi;
                 costs'.(j) <- sc j i hi;
                 go rest ends' costs' ((j, i) :: breaks))
-              (end_candidates j i)
+              (end_candidates i)
       in
       go restarting s.ends s.costs s.breaks;
       !out
@@ -144,14 +118,7 @@ module Reference = struct
     let prune level =
       let level = pareto_filter level in
       explored := !explored + List.length level;
-      match max_states with
-      | Some cap when List.length level > cap ->
-          truncated := true;
-          incr truncations;
-          let scored = List.map (fun s -> (s.acc + suffix.(0), s)) level in
-          let sorted = List.sort (fun (a, _) (b, _) -> compare a b) scored in
-          List.filteri (fun i _ -> i < cap) sorted |> List.map snd
-      | _ -> level
+      level
     in
     let virtual_start =
       { ends = Array.make m (-1); costs = Array.make m 0; acc = 0; breaks = [] }
@@ -206,9 +173,8 @@ module Reference = struct
         {
           cost = best.acc;
           bp = Breakpoints.of_rows ~m ~n rows;
-          exact = (not beam) && (not !truncated) && not !cut;
+          exact = not !cut;
           states_explored = !explored;
-          truncations = !truncations;
           cut_off = !cut;
         }
 end
@@ -276,7 +242,6 @@ let () =
     && Breakpoints.equal refr.Reference.bp flat.Mt_dp.bp
     && refr.Reference.states_explored = flat.Mt_dp.states_explored
     && refr.Reference.exact && flat.Mt_dp.exact
-    && refr.Reference.truncations = 0
     && (not refr.Reference.cut_off)
     && not flat.Mt_dp.cut_off
   in

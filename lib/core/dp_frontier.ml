@@ -53,29 +53,7 @@ let copy lv =
     len = n;
   }
 
-let compact lv ~cap =
-  let live = ref 0 in
-  for s = 0 to lv.len - 1 do
-    if lv.alive.(s) then incr live
-  done;
-  if !live > cap then begin
-    let order = Array.make !live 0 in
-    let k = ref 0 in
-    for s = 0 to lv.len - 1 do
-      if lv.alive.(s) then begin
-        order.(!k) <- s;
-        incr k
-      end
-    done;
-    Array.sort
-      (fun a b ->
-        let c = Int.compare lv.acc.(a) lv.acc.(b) in
-        if c <> 0 then c else Int.compare a b)
-      order;
-    for k = cap to !live - 1 do
-      lv.alive.(order.(k)) <- false
-    done
-  end;
+let compact lv =
   let w = lv.width in
   let k = ref 0 in
   for s = 0 to lv.len - 1 do
@@ -91,8 +69,7 @@ let compact lv ~cap =
       incr k
     end
   done;
-  lv.len <- !k;
-  !live
+  lv.len <- !k
 
 let best lv =
   let b = ref (-1) in
@@ -103,74 +80,55 @@ let best lv =
 
 let poll_mask = 4095
 
+(* Smallest b >= 1 with hi - lo < 2^b: the width of one packed key
+   field over [lo .. hi].  No non-negative int needs more than 62. *)
+let field_bits ~lo ~hi =
+  let rec go b = if b >= 62 || hi - lo < 1 lsl b then b else go (b + 1) in
+  go 1
+
 let exact_fits ~m ~n =
   let limit = 2_000_000. in
   let rec go j acc =
     if j >= m || acc > limit then acc else go (j + 1) (acc *. float_of_int n)
   in
-  go 0 1. <= limit
+  (* Mt_dp's block ends span -1 .. n-1, the wider of the two engines'
+     field ranges. *)
+  go 0 1. <= limit && m * field_bits ~lo:(-1) ~hi:(n - 1) <= 62
 
 module Index = struct
   type t = {
     fields : int;
     mutable lo : int;
-    mutable bits : int;  (* per-field width of the packed key; 0 = string keys *)
-    ints : (int, int) Hashtbl.t;
-    strs : (string, int) Hashtbl.t;
-    buf : Bytes.t;  (* the string key under construction, 8 bytes a field *)
-    mutable count : int;
+    mutable bits : int;  (* per-field width of the packed key *)
+    keys : (int, int) Hashtbl.t;
   }
 
-  let create ~fields =
-    {
-      fields;
-      lo = 0;
-      bits = 0;
-      ints = Hashtbl.create 16;
-      strs = Hashtbl.create 16;
-      buf = Bytes.create (fields * 8);
-      count = 0;
-    }
+  let create ~fields = { fields; lo = 0; bits = 0; keys = Hashtbl.create 16 }
 
   let reset ix ~lo ~hi =
-    (* Smallest b >= 1 with hi - lo < 2^b. *)
-    let rec bits b = if hi - lo < 1 lsl b then b else bits (b + 1) in
-    let b = bits 1 in
+    let b = field_bits ~lo ~hi in
+    if ix.fields * b > 62 then
+      invalid_arg
+        (Printf.sprintf "Dp_frontier.Index.reset: %d fields of %d bits do not pack"
+           ix.fields b);
     ix.lo <- lo;
-    ix.bits <- (if ix.fields * b <= 62 then b else 0);
-    (* [clear] keeps the grown bucket arrays: levels of one run have
+    ix.bits <- b;
+    (* [clear] keeps the grown bucket array: levels of one run have
        similar sizes, and regrowing every level would rehash. *)
-    Hashtbl.clear ix.ints;
-    Hashtbl.clear ix.strs;
-    ix.count <- 0
-
-  (* Number a new key. *)
-  let add tbl ix key =
-    Hashtbl.add tbl key ix.count;
-    ix.count <- ix.count + 1;
-    ix.count - 1
+    Hashtbl.clear ix.keys
 
   let find_or_add ix v =
     let bits = ix.bits and lo = ix.lo in
-    if bits > 0 then begin
-      let key = ref 0 in
-      for j = 0 to ix.fields - 1 do
-        key := (!key lsl bits) lor (v.(j) - lo)
-      done;
-      match Hashtbl.find_opt ix.ints !key with
-      | Some k -> k
-      | None -> add ix.ints ix !key
-    end
-    else begin
-      for j = 0 to ix.fields - 1 do
-        Bytes.set_int64_le ix.buf (j * 8) (Int64.of_int v.(j))
-      done;
-      (* The lookup reads the buffer in place; only a new key is
-         copied into the table. *)
-      match Hashtbl.find_opt ix.strs (Bytes.unsafe_to_string ix.buf) with
-      | Some k -> k
-      | None -> add ix.strs ix (Bytes.to_string ix.buf)
-    end
+    let key = ref 0 in
+    for j = 0 to ix.fields - 1 do
+      key := (!key lsl bits) lor (v.(j) - lo)
+    done;
+    match Hashtbl.find_opt ix.keys !key with
+    | Some k -> k
+    | None ->
+        let k = Hashtbl.length ix.keys in
+        Hashtbl.add ix.keys !key k;
+        k
 
-  let count ix = ix.count
+  let count ix = Hashtbl.length ix.keys
 end

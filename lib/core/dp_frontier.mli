@@ -1,8 +1,7 @@
 (** The DP frontier shared by {!Mt_dp} and {!Online_dp}: level storage,
-    the key index and the beam policy.  Each engine keeps its own
+    the key index and the size guard.  Each engine keeps its own
     transition, dominance rule and cut-off completion.  Nothing here
-    iterates a hash table, so results do not depend on hashing or on
-    the key representation. *)
+    iterates a hash table, so results do not depend on hashing. *)
 
 (** One DP level as flat buffers: state [s] holds [width] ints at
     [vec.(s*width ..)], its accumulated cost [acc.(s)] and its history
@@ -32,11 +31,8 @@ val push : level -> int array -> acc:int -> breaks:(int * int) list -> int
 (** [copy lv] holds exactly [lv]'s states and shares nothing mutable. *)
 val copy : level -> level
 
-(** [compact lv ~cap] — the beam policy.  Over [cap] live states it
-    keeps the [cap] cheapest by (accumulated cost, index); then it
-    drops every tombstone, survivors in index order.  Returns the
-    number of live states before the cut. *)
-val compact : level -> cap:int -> int
+(** [compact lv] drops every tombstone, survivors in index order. *)
+val compact : level -> unit
 
 (** [best lv] — the first live state of lowest accumulated cost, or
     [-1] when none is live. *)
@@ -47,21 +43,25 @@ val best : level -> int
 val poll_mask : int
 
 (** [exact_fits ~m ~n] — the exact engines' size guard: [n^m], the
-    most states one level can hold, is at most two million. *)
+    most states one level can hold, is at most two million, and [m]
+    fields over {!Mt_dp}'s block-end range [-1 .. n-1] pack into one
+    {!Index} key.  For [n >= 1] the second condition binds only at
+    [n = 1], [m >= 63]. *)
 val exact_fits : m:int -> n:int -> bool
 
 (** Numbers the distinct keys of one level — the first [fields] ints of
-    a state vector — 0, 1, 2, … in order of first sight.  A key packs
-    into one [int] when [fields · bits <= 62], [bits] being the width
-    of the field range; otherwise it is a byte string, built in a
-    reused buffer and copied only when it is new. *)
+    a state vector — 0, 1, 2, … in order of first sight.  A key is
+    packed into one [int], [bits] per field, [bits] being the width of
+    the field range. *)
 module Index : sig
   type t
 
   val create : fields:int -> t
 
   (** [reset ix ~lo ~hi] forgets every key; the keys that follow have
-      every field in [lo .. hi]. *)
+      every field in [lo .. hi].  Call it before the first key.  Raises
+      [Invalid_argument] when [fields · bits > 62]; behind
+      {!exact_fits} neither engine reaches that. *)
   val reset : t -> lo:int -> hi:int -> unit
 
   (** [find_or_add ix v] — the number of [v]'s key; a new key gets

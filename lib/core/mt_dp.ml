@@ -3,23 +3,21 @@ type outcome = {
   bp : Breakpoints.t;
   exact : bool;
   states_explored : int;
-  truncations : int;
   cut_off : bool;
 }
 
 exception Cut
 
-let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
+let solve ?(params = Sync_cost.default_params) ?upper_bound
     ?(budget = Hr_util.Budget.unlimited) (oracle : Interval_cost.t) =
   let m = oracle.Interval_cost.m and n = oracle.Interval_cost.n in
   let sc = oracle.Interval_cost.step_cost and v = oracle.Interval_cost.v in
-  let beam = max_states <> None in
   (* Exactness needs the full fan-out of n end choices per restarting
      task; refuse instances whose very first level would not fit. *)
-  if (not beam) && not (Dp_frontier.exact_fits ~m ~n) then
+  if not (Dp_frontier.exact_fits ~m ~n) then
     invalid_arg
       "Mt_dp.solve: instance too large for the exact DP (n^m initial states); \
-       pass ~max_states for a beam search or use Mt_ga/Mt_anneal";
+       use Mt_ga/Mt_anneal";
   let hyper_par = params.Sync_cost.hyper = Sync_cost.Task_parallel in
   let reconf_par = params.Sync_cost.reconf = Sync_cost.Task_parallel in
   let pub = params.Sync_cost.pub in
@@ -49,7 +47,6 @@ let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
     suffix.(i) <- suffix.(i + 1) + combine_reconf (Array.init m (fun j -> sc j i i)) 0
   done;
   let explored = ref 0 in
-  let truncations = ref 0 in
   let cut = ref false in
   let ub = Option.value upper_bound ~default:max_int in
   (* A state's vector holds its per-task block ends (fields [0 .. m-1],
@@ -95,55 +92,12 @@ let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
       !buckets.(b) <- s :: kept
     end
   in
-  (* End choices for a task restarting at step i, memoized per
-     (task, step) — every state of a level reuses the same array.
-     Exact mode: all of them (task-independent).  Beam mode: the ends
-     where the block cost jumps to a new value (the
-     distinct-hypercontext frontier) capped at 32 — the beam is
-     heuristic anyway and this keeps the fan-out bounded. *)
-  let exact_cands : int array array = if beam then [||] else Array.make n [||] in
-  let beam_cands : int array array = if beam then Array.make (m * n) [||] else [||] in
-  let beam_jumps j i =
-    let jumps = ref [ n - 1 ] in
-    let last = ref (-1) in
-    for hi = i to n - 1 do
-      let c = sc j i hi in
-      if c <> !last then begin
-        last := c;
-        if hi <> n - 1 then jumps := hi :: !jumps
-      end
-    done;
-    let all = List.sort_uniq compare !jumps in
-    let len = List.length all in
-    if len <= 32 then all
-    else List.filteri (fun k _ -> k mod ((len / 32) + 1) = 0 || k = len - 1) all
-  in
-  let candidates j i =
-    if not beam then begin
-      let c = exact_cands.(i) in
-      if Array.length c > 0 then c
-      else begin
-        let c = Array.init (n - i) (fun k -> i + k) in
-        exact_cands.(i) <- c;
-        c
-      end
-    end
-    else begin
-      let idx = (j * n) + i in
-      let c = beam_cands.(idx) in
-      if Array.length c > 0 then c
-      else begin
-        let c = Array.of_list (beam_jumps j i) in
-        beam_cands.(idx) <- c;
-        c
-      end
-    end
-  in
   (* Expand a state across step [i]: tasks whose block ended at [i-1]
      (for the initial level: all tasks, signalled by end = -1) restart
      with a new block end, then the step's costs are charged.  The
-     odometer walks the candidate cross-product on one scratch vector;
-     states are copied only when they survive dominance insertion. *)
+     odometer walks the cross-product of the restarting tasks' block
+     ends (every step from [i] on) on one scratch vector; states are
+     copied only when they survive dominance insertion. *)
   let scratch = Array.make w 0 in
   let restart_buf = Array.make m 0 in
   let emitted = ref 0 in
@@ -182,9 +136,7 @@ let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
       end
       else begin
         let j = restart_buf.(r) in
-        let cands = candidates j i in
-        for ci = 0 to Array.length cands - 1 do
-          let hi = cands.(ci) in
+        for hi = i to n - 1 do
           scratch.(j) <- hi;
           scratch.(m + j) <- sc j i hi;
           go (r + 1)
@@ -224,7 +176,6 @@ let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
     if b < 0 then None
     else Some (finish_cheaply i (Array.sub cur.vec (b * w) w) cur.acc.(b) cur.breaks.(b))
   in
-  let cap = Option.value max_states ~default:max_int in
   let rec advance i (cur : Dp_frontier.level) next =
     if i >= n then begin
       let b = Dp_frontier.best cur in
@@ -242,9 +193,8 @@ let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
         done
       with
       | () ->
-          let live = Dp_frontier.compact next ~cap in
-          explored := !explored + live;
-          if live > cap then incr truncations;
+          Dp_frontier.compact next;
+          explored := !explored + next.len;
           advance (i + 1) next cur
       | exception Cut -> collapse cur i
     end
@@ -262,12 +212,8 @@ let solve ?(params = Sync_cost.default_params) ?upper_bound ?max_states
       {
         cost;
         bp = Breakpoints.of_rows ~m ~n rows;
-        (* Beam mode also restricts the per-task block-end fan-out (see
-           [candidates]), so it must never claim exactness — even on
-           runs where the frontier itself was not truncated.  A budget
-           cut-off likewise forfeits the certificate. *)
-        exact = (not beam) && not !cut;
+        (* A budget cut-off forfeits the certificate. *)
+        exact = not !cut;
         states_explored = !explored;
-        truncations = !truncations;
         cut_off = !cut;
       }

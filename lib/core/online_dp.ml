@@ -8,9 +8,7 @@ type t = {
          charged for steps 0 .. n_done-1.  Never mutated: [advance]
          works on a copy. *)
   explored : int;
-  truncations : int;
   cut : bool;
-  max_states : int option;
 }
 
 let horizon t = t.n_done
@@ -77,9 +75,7 @@ let advance ~budget (t : t) problem ~upto =
   let nxt = ref (Dp_frontier.create ~width:m 1024) in
   let index = Dp_frontier.Index.create ~fields:m in
   let scratch = Array.make m 0 in
-  let cap = Option.value t.max_states ~default:max_int in
   let explored = ref t.explored in
-  let truncations = ref t.truncations in
   let cut = ref t.cut in
   let emitted = ref 0 in
   let step_done = ref t.n_done in
@@ -126,7 +122,8 @@ let advance ~budget (t : t) problem ~upto =
            end
          done
        done;
-       if Dp_frontier.compact nxt_l ~cap > cap then incr truncations;
+       (* Slots are replaced in place, never tombstoned, so every
+          state of the level is live. *)
        explored := !explored + nxt_l.len;
        cur := nxt_l;
        nxt := cur_l;
@@ -153,26 +150,20 @@ let advance ~budget (t : t) problem ~upto =
      Dp_frontier.clear lv;
      ignore (Dp_frontier.push lv starts ~acc:!acc ~breaks));
   {
-    t with
     problem;
     n_done = upto;
     level = Dp_frontier.copy !cur;
     explored = !explored;
-    truncations = !truncations;
     cut = !cut;
   }
 
-let start ?max_states ?(budget = Budget.unlimited) problem =
+let start ?(budget = Budget.unlimited) problem =
   if not (supports problem) then
     invalid_arg
       "Online_dp.start: needs the fully synchronized mode, task-sequential \
        reconfiguration uploads, and m <= 12";
-  (match max_states with
-  | Some c when c < 1 -> invalid_arg "Online_dp.start: max_states must be >= 1"
-  | _ -> ());
-  if max_states = None && not (exact_ok problem) then
-    invalid_arg
-      "Online_dp.start: exact frontier too large (n^m > 2e6); pass ~max_states";
+  if not (exact_ok problem) then
+    invalid_arg "Online_dp.start: exact frontier too large (n^m > 2e6)";
   let m = Problem.m problem and n = Problem.n problem in
   let oracle = problem.Problem.oracle in
   let params = problem.Problem.params in
@@ -187,17 +178,7 @@ let start ?max_states ?(budget = Budget.unlimited) problem =
   ignore
     (Dp_frontier.push level (Array.make m 0) ~acc:!acc0
        ~breaks:(restart_breaks [] full 0 m));
-  let t0 =
-    {
-      problem;
-      n_done = 1;
-      level;
-      explored = 1;
-      truncations = 0;
-      cut = false;
-      max_states;
-    }
-  in
+  let t0 = { problem; n_done = 1; level; explored = 1; cut = false } in
   if n = 1 then t0 else advance ~budget t0 problem ~upto:n
 
 let extend ?(budget = Budget.unlimited) t problem' =
@@ -214,7 +195,7 @@ let extend ?(budget = Budget.unlimited) t problem' =
   let v = t.problem.Problem.oracle.Interval_cost.v in
   if problem'.Problem.oracle.Interval_cost.v <> v then
     fail "per-task hyperreconfiguration costs changed";
-  if t.max_states = None && not (exact_ok problem') then
+  if not (exact_ok problem') then
     fail "exact frontier too large (n^m > 2e6) at the new horizon";
   (* Spot-check the prefix-agreement contract: the appended oracle must
      cost the old steps exactly as before. *)
@@ -235,12 +216,10 @@ let solution t =
   List.iter (fun (j, i) -> rows.(j) <- i :: rows.(j)) t.level.breaks.(best);
   let bp = Breakpoints.of_rows ~m ~n:t.n_done rows in
   let cost = Problem.eval t.problem bp in
-  let exact = (not t.cut) && t.max_states = None in
-  Solution.make ~solver:"online-dp" ~exact ~cut_off:t.cut
+  Solution.make ~solver:"online-dp" ~exact:(not t.cut) ~cut_off:t.cut
     ~stats:
       [
         ("states", string_of_int t.explored);
         ("frontier", string_of_int t.level.len);
-        ("truncations", string_of_int t.truncations);
       ]
     ~cost bp

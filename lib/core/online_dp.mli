@@ -36,8 +36,8 @@
     futures, so only the cheapest survives.
 
     {b Determinism.}  Levels are processed in state-index order and
-    restart subsets in increasing bitmask order; keys, slots and the
-    beam cut follow {!Dp_frontier}'s deterministic rules, so runs are
+    restart subsets in increasing bitmask order; keys and slots follow
+    {!Dp_frontier}'s deterministic rules, so runs are
     reproducible and [start] on a full trace equals [start] on a prefix
     followed by [extend] — plan, cost, and state counts alike.  The
     suite and the [online-replay] hrcheck column pin this. *)
@@ -52,19 +52,15 @@ val supports : Problem.t -> bool
 
 (** [exact_ok p] is {!Dp_frontier.exact_fits} at [p]'s size: the
     frontier (at most [n^m] start vectors) must stay within two million
-    states.  Beyond it, pass [~max_states] to beam-truncate. *)
+    states. *)
 val exact_ok : Problem.t -> bool
 
-(** [start ?max_states ?budget p] solves [p] from step 0 and returns
-    the full frontier at horizon [n].  [max_states] keeps only the
-    cheapest states per level (the result is then a lower-bounded
-    heuristic, never marked exact).  When [budget] expires the engine
+(** [start ?budget p] solves [p] from step 0 and returns the full
+    frontier at horizon [n].  When [budget] expires the engine
     collapses to its cheapest state and fast-forwards the remaining
     steps without further restarts ({!Solution.cut_off}).  Raises
-    [Invalid_argument] when {!supports} is false, or when the exact
-    frontier would exceed {!exact_ok}'s bound and no [max_states] was
-    given. *)
-val start : ?max_states:int -> ?budget:Hr_util.Budget.t -> Problem.t -> t
+    [Invalid_argument] when {!supports} or {!exact_ok} is false. *)
+val start : ?budget:Hr_util.Budget.t -> Problem.t -> t
 
 (** [extend ?budget t p'] resumes the DP on the grown instance [p']:
     same tasks (equal [m], [v], parameters, mode and class), horizon
@@ -72,13 +68,14 @@ val start : ?max_states:int -> ?budget:Hr_util.Budget.t -> Problem.t -> t
     [t]'s on the prefix — the appended steps extend the same traces
     (e.g. via {!Hr_core.Trace.concat}); the engine spot-checks the
     per-task prefix costs and raises [Invalid_argument] on
-    disagreement or on any dimension/parameter mismatch.  With
+    disagreement, on any dimension/parameter mismatch, or when [p']
+    fails {!exact_ok}.  With
     [n' = horizon t] this is free. *)
 val extend : ?budget:Hr_util.Budget.t -> t -> Problem.t -> t
 
 (** [solution t] reconstructs the cheapest state's plan.  The cost is
-    recomputed with {!Problem.eval}; [exact] iff the run was neither
-    beam-truncated nor cut off. *)
+    recomputed with {!Problem.eval}; [exact] iff the run was not cut
+    off. *)
 val solution : t -> Solution.t
 
 (** [horizon t] is the number of steps processed so far. *)
@@ -87,8 +84,8 @@ val horizon : t -> int
 (** [frontier t] is the number of live states. *)
 val frontier : t -> int
 
-(** [states_explored t] counts the states of every level after its
-    beam cut (cumulative across {!extend}s). *)
+(** [states_explored t] counts the states of every level (cumulative
+    across {!extend}s). *)
 val states_explored : t -> int
 
 (** [best_cost t] is the cheapest state's charged cost — equals

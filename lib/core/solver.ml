@@ -101,11 +101,9 @@ let run_all ?domains ?(seed = default_seed) ?(budget = Budget.unlimited)
        Pool.map ~chunks:(Array.length contestants) (Pool.default ()) report
          contestants)
 
-let solutions reports = List.filter_map (fun r -> r.solution) reports
-
 let race_report ?domains ?seed ?budget solvers problem =
   let reports = run_all ?domains ?seed ?budget solvers problem in
-  match solutions reports with
+  match List.filter_map (fun r -> r.solution) reports with
   | [] ->
       invalid_arg
         (Printf.sprintf
@@ -121,9 +119,6 @@ let race_report ?domains ?seed ?budget solvers problem =
            | [] -> ""
            | crashes -> " (" ^ String.concat "; " crashes ^ ")"))
   | sols -> (Solution.best sols, reports)
-
-let race_all ?domains ?seed ?budget solvers problem =
-  solutions (run_all ?domains ?seed ?budget solvers problem)
 
 let race ?domains ?seed ?budget solvers problem =
   fst (race_report ?domains ?seed ?budget solvers problem)

@@ -8,7 +8,7 @@
 
     {b Budgets.}  Every entry point takes an optional cooperative
     {!Hr_util.Budget.t}.  Iterative backends (GA, annealing, hill
-    climbing, the beam/exact DP) poll it between iterations and return
+    climbing, the exact DPs) poll it between iterations and return
     their best-so-far solution with [Solution.cut_off = true] (and
     [exact = false]) when it expires; instantaneous backends ignore it.
     See [docs/solvers.md] for the per-backend contract.
@@ -160,15 +160,3 @@ val race :
   t list ->
   Problem.t ->
   Solution.t
-
-(** [race_all ?domains ?seed ?budget solvers problem] is every
-    surviving contestant's solution (in [solvers] order, crashed ones
-    absent) — for tables comparing the field.  Prefer {!run_all} when
-    you need to know {e why} a contestant is missing. *)
-val race_all :
-  ?domains:int ->
-  ?seed:int ->
-  ?budget:Hr_util.Budget.t ->
-  t list ->
-  Problem.t ->
-  Solution.t list

@@ -87,12 +87,6 @@ let all_task =
           [ ("shared-breaks", string_of_int (List.length r.Mt_classes.breaks)) ]
         ~cost:r.Mt_classes.cost r.Mt_classes.bp)
 
-let dp_stats (r : Mt_dp.outcome) =
-  [
-    ("states", string_of_int r.Mt_dp.states_explored);
-    ("truncations", string_of_int r.Mt_dp.truncations);
-  ]
-
 let mt_dp =
   Solver.make ~name:"mt-dp" ~kind:Solver.Exact
     ~doc:"exact multi-task DP (Theorem 1), n^m <= 2e6"
@@ -104,8 +98,9 @@ let mt_dp =
       let ub = (Mt_greedy.best ~params p.Problem.oracle).Mt_greedy.cost in
       let r = Mt_dp.solve ~params ~upper_bound:ub ~budget p.Problem.oracle in
       Solution.make ~solver:"mt-dp" ~exact:r.Mt_dp.exact
-        ~cut_off:r.Mt_dp.cut_off ~stats:(dp_stats r) ~cost:r.Mt_dp.cost
-        r.Mt_dp.bp)
+        ~cut_off:r.Mt_dp.cut_off
+        ~stats:[ ("states", string_of_int r.Mt_dp.states_explored) ]
+        ~cost:r.Mt_dp.cost r.Mt_dp.bp)
 
 let brute =
   Solver.make ~name:"brute" ~kind:Solver.Exact
@@ -114,19 +109,6 @@ let brute =
     (fun ~budget:_ ~rng:_ p ->
       let cost, bp = Brute.solve p in
       Solution.make ~solver:"brute" ~exact:true ~cost bp)
-
-let mt_beam =
-  Solver.make ~name:"mt-beam" ~kind:Solver.Heuristic
-    ~doc:"beam-truncated multi-task DP (256 states), m <= 6"
-    ~handles:(fun p -> sized p && fully p && partial p && Problem.m p <= 6)
-    (fun ~budget ~rng:_ p ->
-      let params = p.Problem.params in
-      (* No upper bound: the beam's restricted block-end fan-out can make
-         a heuristic bound unreachable, which would empty the frontier. *)
-      let r = Mt_dp.solve ~params ~max_states:256 ~budget p.Problem.oracle in
-      Solution.make ~solver:"mt-beam" ~exact:r.Mt_dp.exact
-        ~cut_off:r.Mt_dp.cut_off ~stats:(dp_stats r) ~cost:r.Mt_dp.cost
-        r.Mt_dp.bp)
 
 let greedy =
   Solver.make ~name:"greedy" ~kind:Solver.Heuristic
@@ -257,7 +239,6 @@ let () =
       all_task;
       mt_dp;
       brute;
-      mt_beam;
       greedy;
       hill_climb;
       anneal;

@@ -6,25 +6,27 @@
     from {!applicable}.  Out-of-tree backends can {!register} their
     own.
 
-    Built-in backends (see [docs/solvers.md] for the capability
-    matrix):
+    Built-in backends, in registration order (see [docs/solvers.md]
+    for the capability matrix):
 
     - ["st-dp"] — exact single-task DP ({!St_opt}), m = 1, pub = 0;
     - ["all-task"] — exact for the [All_task] machine class (combined
       single-task DP, {!Mt_classes}); a heuristic bound elsewhere;
     - ["mt-dp"] — exact multi-task DP ({!Mt_dp}, Theorem 1), instances
-      with n^m ≤ 2·10⁶;
-    - ["mt-beam"] — {!Mt_dp} beam search, m ≤ 6;
+      that pass {!Dp_frontier.exact_fits} (n^m ≤ 2·10⁶);
+    - ["brute"] — {!Brute.multi} enumeration, (n-1)·m ≤ 18;
     - ["greedy"] — best of the {!Mt_greedy} portfolio;
     - ["hill-climb"] — {!Mt_local} first-improvement descent;
     - ["anneal"] — {!Mt_anneal} simulated annealing;
     - ["ga"] — {!Mt_ga}, the paper's §6 method;
     - ["ga-polish"] — ["ga"] polished by {!Mt_local};
-    - ["brute"] — {!Brute.multi} enumeration, (n-1)·m ≤ 18;
     - ["async-opt"] — exact for the non-synchronized mode (per-task
       solo optima, {!Mt_async});
     - ["mode-climb"] — bit-flip descent on {!Problem.eval} for the
-      intermediate synchronization modes. *)
+      intermediate synchronization modes;
+    - ["online-dp"] — exact incremental block-start DP ({!Online_dp}),
+      fully synchronized, task-sequential reconfiguration uploads,
+      m ≤ 12 and {!Dp_frontier.exact_fits}. *)
 
 (** [register ?override solver] adds a solver.  Raises
     [Invalid_argument] on a duplicate name unless [override]. *)

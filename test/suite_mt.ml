@@ -172,16 +172,6 @@ let qcheck_window_heuristic_valid =
           Sync_cost.eval oracle e.Mt_greedy.bp = e.Mt_greedy.cost)
         [ 1; 2; 3 ])
 
-let test_mt_dp_beam_reports_inexact () =
-  (* A beam of 1 state must still produce a valid plan but may flag
-     inexactness. *)
-  let ts = Tutil.sample_task_set () in
-  let oracle = Interval_cost.of_task_set ts in
-  let r = Mt_dp.solve ~max_states:1 oracle in
-  check int "cost still consistent" (Sync_cost.eval oracle r.Mt_dp.bp) r.Mt_dp.cost;
-  let exact = Mt_dp.solve oracle in
-  Alcotest.(check bool) "beam >= exact" true (r.Mt_dp.cost >= exact.Mt_dp.cost)
-
 let test_mt_dp_single_step () =
   (* n=1: everything must break at step 0; cost = max v + max req. *)
   let s = Switch_space.make 3 in
@@ -196,59 +186,123 @@ let test_mt_dp_single_step () =
   check int "cost" (4 + 2) r.Mt_dp.cost
 
 (* ------------------------------------------------------------------ *)
-(* Dp_frontier: the level, key index and beam policy both DP engines
+(* Dp_frontier: the level, key index and size guard both DP engines
    share. *)
 
-(* Key numbers against a first-sight numbering of the key lists, at
-   [fields] fields in [lo .. hi].  The vectors carry [fields] junk
-   trailing ints (as Mt_dp's cost fields), which must not reach the
-   key, and are drawn from a small pool so that keys repeat. *)
-let check_index ~fields ~lo ~hi =
+(* Do key numbers match a first-sight numbering of the key lists, at
+   [fields] fields in [lo .. hi]?  Every pool key is looked up once,
+   then 400 at random, so that keys repeat.  The vectors carry [fields]
+   junk trailing ints (as Mt_dp's cost fields), which must not reach
+   the key. *)
+let index_numbers_keys ~fields ~lo ~hi =
   let rng = Rng.create (fields + hi) in
   let ix = Dp_frontier.Index.create ~fields in
   let field () =
     match Rng.int rng 4 with 0 -> lo | 1 -> hi | _ -> Rng.int_in rng lo hi
   in
-  let pool = Array.init 40 (fun _ -> Array.init fields (fun _ -> field ())) in
-  (* Keys one field apart, at the top and the bottom of the range. *)
-  pool.(0) <- Array.make fields hi;
-  pool.(1) <- Array.init fields (fun j -> if j = 0 then hi - 1 else hi);
-  pool.(2) <- Array.init fields (fun j -> if j = fields - 1 then hi - 1 else hi);
-  pool.(3) <- Array.make fields lo;
-  for round = 0 to 1 do
+  let unit j x = Array.init fields (fun k -> if k = j then x else lo) in
+  (* Keys one step apart at the top and the bottom of the range: a field
+     one bit too narrow spills [unit j hi] onto [unit (j - 1) (lo + 1)],
+     and a first field shifted out of the int merges the first two. *)
+  let below = max lo (hi - 1) in
+  let pool =
+    Array.concat
+      [
+        [|
+          Array.make fields hi;
+          Array.init fields (fun j -> if j = 0 then below else hi);
+          Array.init fields (fun j -> if j = fields - 1 then below else hi);
+          Array.make fields lo;
+        |];
+        Array.init fields (fun j -> unit j hi);
+        Array.init fields (fun j -> unit j (min hi (lo + 1)));
+        Array.init 40 (fun _ -> Array.init fields (fun _ -> field ()));
+      ]
+  in
+  let draws =
+    Array.append pool
+      (Array.init 400 (fun _ -> pool.(Rng.int rng (Array.length pool))))
+  in
+  let ok = ref true in
+  for _round = 0 to 1 do
     Dp_frontier.Index.reset ix ~lo ~hi;
     let seen = Hashtbl.create 64 in
-    for _ = 1 to 400 do
-      let key = pool.(Rng.int rng (Array.length pool)) in
-      let v = Array.append key (Array.init fields (fun _ -> Rng.int rng 1000)) in
-      let expected =
-        match Hashtbl.find_opt seen (Array.to_list key) with
-        | Some k -> k
-        | None ->
-            let k = Hashtbl.length seen in
-            Hashtbl.add seen (Array.to_list key) k;
-            k
-      in
-      check int (Printf.sprintf "round %d: key number" round) expected
-        (Dp_frontier.Index.find_or_add ix v)
-    done;
-    check int "count = distinct keys" (Hashtbl.length seen) (Dp_frontier.Index.count ix)
-  done
+    Array.iter
+      (fun key ->
+        let v = Array.append key (Array.init fields (fun _ -> Rng.int rng 1000)) in
+        let expected =
+          match Hashtbl.find_opt seen (Array.to_list key) with
+          | Some k -> k
+          | None ->
+              let k = Hashtbl.length seen in
+              Hashtbl.add seen (Array.to_list key) k;
+              k
+        in
+        if Dp_frontier.Index.find_or_add ix v <> expected then ok := false)
+      draws;
+    if Dp_frontier.Index.count ix <> Hashtbl.length seen then ok := false
+  done;
+  !ok
 
 let test_frontier_index () =
-  (* 6 fields of 10 bits: 60 bits pack into one int. *)
-  check_index ~fields:6 ~lo:0 ~hi:1023;
-  (* Mt_dp's range starts at -1. *)
-  check_index ~fields:6 ~lo:(-1) ~hi:1022;
-  (* 6 fields of 11 bits (66 bits) and 11 of 6 bits: string keys. *)
-  check_index ~fields:6 ~lo:0 ~hi:2047;
-  check_index ~fields:11 ~lo:0 ~hi:32
+  List.iter
+    (fun (fields, lo, hi) ->
+      check Alcotest.bool
+        (Printf.sprintf "%d fields in %d .. %d" fields lo hi)
+        true
+        (index_numbers_keys ~fields ~lo ~hi))
+    [
+      (* 6 fields of 10 bits: 60 bits. *)
+      (6, 0, 1023);
+      (* Mt_dp's range starts at -1. *)
+      (6, -1, 1022);
+      (* 62 fields of 1 bit. *)
+      (62, -1, 0);
+    ]
+
+let test_frontier_index_refuses_wide_keys () =
+  List.iter
+    (fun (fields, lo, hi, packs) ->
+      let ix = Dp_frontier.Index.create ~fields in
+      let raised =
+        match Dp_frontier.Index.reset ix ~lo ~hi with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      check Alcotest.bool
+        (Printf.sprintf "%d fields in %d .. %d refused" fields lo hi)
+        (not packs) raised)
+    [
+      (6, 0, 1023, true);
+      (6, 0, 2047, false);
+      (11, 0, 31, true);
+      (11, 0, 32, false);
+      (62, -1, 0, true);
+      (63, -1, 0, false);
+      (1, 0, max_int, true);
+      (2, 0, max_int, false);
+    ]
+
+(* Every size the guard admits packs at both engines' field ranges:
+   Mt_dp's block ends in -1 .. n-1, Online_dp's block starts in
+   0 .. i for i up to n-1. *)
+let qcheck_exact_fits_packs =
+  Tutil.prop "dp_frontier: admitted sizes pack at both field ranges"
+    QCheck2.Gen.(
+      let* m = int_range 1 70 in
+      (* Up to just past the largest admitted n for this m. *)
+      let* n = int_range 1 (int_of_float (2e6 ** (1. /. float_of_int m)) + 2) in
+      return (m, n))
+    (fun (m, n) -> Printf.sprintf "m=%d n=%d" m n)
+    (fun (m, n) ->
+      (not (Dp_frontier.exact_fits ~m ~n))
+      || index_numbers_keys ~fields:m ~lo:(-1) ~hi:(n - 1)
+         && index_numbers_keys ~fields:m ~lo:0 ~hi:(n - 1))
 
 let test_frontier_compact () =
   let rng = Rng.create 17 in
-  for case = 0 to 49 do
+  for _ = 0 to 49 do
     let len = Rng.int rng 40 in
-    let cap = if case mod 5 = 0 then max_int else 1 + Rng.int rng 30 in
     let lv = Dp_frontier.create ~width:2 4 in
     let states =
       List.init len (fun s ->
@@ -259,14 +313,8 @@ let test_frontier_compact () =
     let dead = List.filter (fun _ -> Rng.int rng 4 = 0) (List.map fst states) in
     List.iter (fun s -> lv.Dp_frontier.alive.(s) <- false) dead;
     let live = List.filter (fun (s, _) -> not (List.mem s dead)) states in
-    let kept =
-      List.sort compare
-        (List.filteri
-           (fun k _ -> k < cap)
-           (List.sort (fun (s, a) (s', a') -> compare (a, s) (a', s')) live))
-    in
-    check int "live before the cut" (List.length live) (Dp_frontier.compact lv ~cap);
-    check int "survivors" (List.length kept) lv.Dp_frontier.len;
+    Dp_frontier.compact lv;
+    check int "survivors" (List.length live) lv.Dp_frontier.len;
     List.iteri
       (fun k (s, acc) ->
         check int "vector moved along" s lv.Dp_frontier.vec.(2 * k);
@@ -275,7 +323,7 @@ let test_frontier_compact () =
         check Alcotest.bool "breaks moved along" true
           (lv.Dp_frontier.breaks.(k) = [ (s, acc) ]);
         check Alcotest.bool "alive" true lv.Dp_frontier.alive.(k))
-      kept;
+      live;
     let cheapest =
       List.fold_left
         (fun best (s, a) ->
@@ -302,7 +350,10 @@ let test_frontier_exact_fits () =
       (3, 126, false);
       (20, 2, true);
       (21, 2, false);
-      (1000, 1, true);
+      (* n = 1 admits every m by size; the key packs up to 62 tasks. *)
+      (62, 1, true);
+      (63, 1, false);
+      (1000, 1, false);
       (0, 5_000_000, true);
     ]
 
@@ -320,10 +371,12 @@ let tests =
     Alcotest.test_case "greedy portfolio" `Quick test_greedy_portfolio_sorted_and_valid;
     Alcotest.test_case "greedy never/every" `Quick test_greedy_never_and_every;
     qcheck_window_heuristic_valid;
-    Alcotest.test_case "mt_dp beam" `Quick test_mt_dp_beam_reports_inexact;
     Alcotest.test_case "mt_dp single step" `Quick test_mt_dp_single_step;
     Alcotest.test_case "dp_frontier index numbers keys" `Quick test_frontier_index;
     Alcotest.test_case "dp_frontier compact keeps the cheapest" `Quick
       test_frontier_compact;
     Alcotest.test_case "dp_frontier exact_fits boundary" `Quick test_frontier_exact_fits;
+    Alcotest.test_case "dp_frontier index refuses wide keys" `Quick
+      test_frontier_index_refuses_wide_keys;
+    qcheck_exact_fits_packs;
   ]

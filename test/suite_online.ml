@@ -229,39 +229,6 @@ let test_cutoff_safe () =
   check int "cost recomputed consistently" (Problem.eval p s.Solution.bp)
     s.Solution.cost
 
-let test_beam_mode () =
-  let rng = Rng.create 31 in
-  let ts = random_task_set rng ~m:2 ~n:14 in
-  let p = Problem.of_task_set ~params:seq_params ts in
-  let exact = Online_dp.solution (Online_dp.start p) in
-  let beam = Online_dp.solution (Online_dp.start ~max_states:8 p) in
-  check bool "beam not exact" false beam.Solution.exact;
-  check bool "beam admissible" true (Problem.admissible p beam.Solution.bp);
-  check bool "beam >= exact" true
-    (beam.Solution.cost >= exact.Solution.cost);
-  (* Beam runs are deterministic. *)
-  let beam2 = Online_dp.solution (Online_dp.start ~max_states:8 p) in
-  check bool "beam deterministic" true
-    (Breakpoints.equal beam.Solution.bp beam2.Solution.bp)
-
-(* m = 11 start vectors pack into one int while every start fits 5
-   bits (step <= 31); from step 32 on the beam's keys are strings.  A
-   prefix run that crosses that limit inside [extend] must still equal
-   the one-shot run. *)
-let test_beam_extend_past_packing_limit () =
-  let rng = Rng.create 11 in
-  let ts = random_task_set rng ~m:11 ~n:36 in
-  let p = Problem.of_task_set ~params:seq_params ts in
-  let pre = Problem.of_task_set ~params:seq_params (prefix_task_set ts 20) in
-  let full = Online_dp.start ~max_states:8 p in
-  let inc = Online_dp.extend (Online_dp.start ~max_states:8 pre) p in
-  let sf = Online_dp.solution full and si = Online_dp.solution inc in
-  check int "cost" sf.Solution.cost si.Solution.cost;
-  check bool "plan" true (Breakpoints.equal sf.Solution.bp si.Solution.bp);
-  check int "states" (Online_dp.states_explored full) (Online_dp.states_explored inc);
-  check int "frontier" (Online_dp.frontier full) (Online_dp.frontier inc);
-  check int "charged cost = eval" si.Solution.cost (Online_dp.best_cost inc)
-
 (* ------------------------------------------------------------------ *)
 (* Online policies against hand-computed traces.                       *)
 
@@ -662,9 +629,6 @@ let tests =
       test_extend_rejects_mismatch;
     Alcotest.test_case "unsupported rejected" `Quick test_unsupported_rejected;
     Alcotest.test_case "cutoff safe" `Quick test_cutoff_safe;
-    Alcotest.test_case "beam mode" `Quick test_beam_mode;
-    Alcotest.test_case "beam extend past the key packing limit" `Quick
-      test_beam_extend_past_packing_limit;
     Alcotest.test_case "eager hand trace" `Quick test_eager_hand;
     Alcotest.test_case "lazy-full hand trace" `Quick test_lazy_full_hand;
     Alcotest.test_case "rent-or-buy hand trace" `Quick test_rent_or_buy_hand;

@@ -22,11 +22,21 @@ let contains s sub =
 
 let test_registry_names () =
   let names = Solver_registry.names () in
-  List.iter
-    (fun n ->
-      check bool (Printf.sprintf "%s registered" n) true (List.mem n names))
-    [ "st-dp"; "all-task"; "mt-dp"; "mt-beam"; "greedy"; "hill-climb";
-      "anneal"; "ga"; "ga-polish"; "brute"; "async-opt"; "mode-climb" ];
+  let builtins =
+    [ "st-dp"; "all-task"; "mt-dp"; "brute"; "greedy"; "hill-climb"; "anneal";
+      "ga"; "ga-polish"; "async-opt"; "mode-climb"; "online-dp" ]
+  in
+  let k = List.length builtins in
+  check (Alcotest.list Alcotest.string) "built-ins, in registration order"
+    builtins
+    (List.filteri (fun i _ -> i < k) names);
+  (* Only the placement solvers, registered on demand, may follow. *)
+  List.iteri
+    (fun i n ->
+      if i >= k then
+        check bool (n ^ " is a placement solver") true
+          (String.starts_with ~prefix:"place-" n))
+    names;
   check bool "find hit" true (Solver_registry.find "ga" <> None);
   check bool "find miss" true (Solver_registry.find "no-such-solver" = None);
   check int "all() agrees with names()"
@@ -165,30 +175,6 @@ let qcheck_precompute_transparent =
       done;
       !ok)
 
-let qcheck_beam_bounded_below_by_exact =
-  Tutil.prop "mt-beam >= mt-dp and never claims exactness"
-    (Tutil.gen_mt_instance ~max_m:3 ~max_n:5 ~max_width:4)
-    Tutil.show_mt_instance
-    (fun inst ->
-      let problem = Problem.of_task_set (Tutil.task_set_of_instance inst) in
-      let beam = Solver_registry.solve "mt-beam" problem in
-      let exact = Solver_registry.solve "mt-dp" problem in
-      beam.Solution.cost >= exact.Solution.cost
-      && (not beam.Solution.exact)
-      && exact.Solution.exact)
-
-let test_beam_truncation_stays_inexact () =
-  (* Even a beam wide enough that the frontier is never truncated must
-     not claim exactness: the block-end fan-out is restricted too. *)
-  let oracle = Interval_cost.of_task_set (Tutil.sample_task_set ()) in
-  let beam = Mt_dp.solve ~max_states:1_000_000 oracle in
-  check bool "wide beam still inexact" false beam.Mt_dp.exact;
-  let tight = Mt_dp.solve ~max_states:1 oracle in
-  check bool "tight beam inexact" false tight.Mt_dp.exact;
-  check int "tight beam cost consistent"
-    (Sync_cost.eval oracle tight.Mt_dp.bp)
-    tight.Mt_dp.cost
-
 let test_race_on_counter_like_instance () =
   (* A deterministic mid-size instance solved by every applicable
      backend, sequentially and racing: identical winners. *)
@@ -211,6 +197,29 @@ let test_race_on_counter_like_instance () =
   let raced = Solver.race ~seed:5 (Solver_registry.applicable problem) problem in
   check int "race equals best sequential"
     (Solution.best sols).Solution.cost raced.Solution.cost
+
+let test_race_exact_on_wide_single_step () =
+  (* 63 tasks over 1 step: every task must break at step 0, so the plan
+     is forced.  Its key does not pack, so mt-dp refuses it; brute has
+     0 free bits and still certifies the forced plan. *)
+  let rng = Rng.create 63 in
+  let space = Switch_space.make 4 in
+  let ts =
+    Task_set.make
+      (Array.init 63 (fun j ->
+           Task_set.task ~name:(Printf.sprintf "t%d" j) ~v:(1 + Rng.int rng 5)
+             (Trace.of_lists space
+                [ List.filter (fun _ -> Rng.bool rng) [ 0; 1; 2; 3 ] ])))
+  in
+  let problem = Problem.of_task_set ts in
+  check bool "mt-dp refuses" false
+    ((Solver_registry.find_exn "mt-dp").Solver.handles problem);
+  let best, reports = Solver_registry.race_report ~seed:5 problem in
+  check bool "every contestant finished" true
+    (List.for_all (fun r -> r.Solver.outcome = Solver.Finished) reports);
+  check bool "exact" true best.Solution.exact;
+  check int "the forced plan's cost" (fst (Brute.solve problem)) best.Solution.cost;
+  check bool "admissible" true (Problem.admissible problem best.Solution.bp)
 
 let test_all_task_exact_only_for_all_task_class () =
   let ts = Tutil.sample_task_set () in
@@ -243,7 +252,7 @@ let test_async_opt_matches_mt_async () =
 
 let qcheck_heuristics_bounded_by_brute_under_deadlines =
   Tutil.prop
-    "mt-beam/ga-polish: >= Brute.solve optimum and cost-consistent, also when cut off"
+    "ga-polish/greedy: >= Brute.solve optimum and cost-consistent, also when cut off"
     (Tutil.gen_mt_instance ~max_m:3 ~max_n:5 ~max_width:4)
     Tutil.show_mt_instance
     (fun inst ->
@@ -258,7 +267,7 @@ let qcheck_heuristics_bounded_by_brute_under_deadlines =
               && sol.Solution.cost = Problem.eval problem sol.Solution.bp
               && Problem.admissible problem sol.Solution.bp)
             [ None; Some (Hr_util.Budget.of_deadline_ms 0) ])
-        [ "mt-beam"; "ga-polish"; "greedy" ])
+        [ "ga-polish"; "greedy" ])
 
 let qcheck_mode_climb_vs_brute_on_intermediate_modes =
   (* Brute.solve evaluates through Problem.eval, so it is ground truth
@@ -480,7 +489,7 @@ let test_deadline_cutoff_returns_admissible_best_so_far () =
       check int (name ^ ": cost consistent")
         (Problem.eval problem sol.Solution.bp)
         sol.Solution.cost)
-    [ "ga"; "anneal"; "hill-climb"; "mt-beam"; "mt-dp"; "ga-polish" ];
+    [ "ga"; "anneal"; "hill-climb"; "mt-dp"; "ga-polish" ];
   (* An expired budget shows up as a Cut_off outcome in reports too. *)
   let r =
     Solver.solve_report ~seed:5
@@ -659,24 +668,6 @@ let test_budget_polled_within_dp_level () =
   check int "cost consistent" (Sync_cost.eval oracle out.Mt_dp.bp)
     out.Mt_dp.cost
 
-let test_beam_determinism_under_truncation () =
-  (* Beam truncation keeps the lowest-accumulated-cost states with
-     index-order tie-breaking, so two runs over the same instance are
-     bit-identical even under truncation pressure. *)
-  let ts =
-    Hr_workload.Multi_gen.independent (Rng.create 7)
-      { Hr_workload.Multi_gen.default_spec with m = 4; n = 24 }
-  in
-  let oracle = Interval_cost.precompute (Interval_cost.of_task_set ts) in
-  let run () = Mt_dp.solve ~max_states:16 oracle in
-  let a = run () and b = run () in
-  check bool "truncation pressure" true (a.Mt_dp.truncations > 0);
-  check int "same cost" a.Mt_dp.cost b.Mt_dp.cost;
-  check bool "same plan" true (Breakpoints.equal a.Mt_dp.bp b.Mt_dp.bp);
-  check int "same truncations" a.Mt_dp.truncations b.Mt_dp.truncations;
-  check int "same states explored" a.Mt_dp.states_explored
-    b.Mt_dp.states_explored
-
 let test_dp_corpus_golden () =
   (* The flat-state engine pinned byte-for-byte on the conformance
      corpus: cost, exactness claim and the full per-task plan of every
@@ -736,11 +727,10 @@ let tests =
     qcheck_costs_consistent_and_bounded;
     qcheck_race_equals_best_sequential;
     qcheck_precompute_transparent;
-    qcheck_beam_bounded_below_by_exact;
-    Alcotest.test_case "beam never claims exact" `Quick
-      test_beam_truncation_stays_inexact;
     Alcotest.test_case "race on mid-size instance" `Quick
       test_race_on_counter_like_instance;
+    Alcotest.test_case "race exact on 63 tasks, 1 step" `Quick
+      test_race_exact_on_wide_single_step;
     Alcotest.test_case "all-task exactness scoping" `Quick
       test_all_task_exact_only_for_all_task_class;
     Alcotest.test_case "async-opt == Mt_async" `Quick test_async_opt_matches_mt_async;
@@ -769,7 +759,5 @@ let tests =
       test_pooled_precompute_matches_sequential;
     Alcotest.test_case "budget polled within a DP level" `Quick
       test_budget_polled_within_dp_level;
-    Alcotest.test_case "beam determinism under truncation" `Quick
-      test_beam_determinism_under_truncation;
     Alcotest.test_case "mt-dp corpus plans golden" `Quick test_dp_corpus_golden;
   ]
