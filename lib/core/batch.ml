@@ -19,16 +19,9 @@ type solved = {
 
 type response = { id : string; outcome : (solved, string) result; wall_ms : float }
 
-type t = {
-  responses : response list;
-  total_ms : float;
-  workers : int;
-  deadline_ms : int option;
-  shared_builds : int;
-}
+type t = { responses : response list; total_ms : float; workers : int; shared_builds : int }
 
 let result_schema_version = "hyperreconf.result/1"
-let batch_schema_version = "hyperreconf.batch/1"
 
 let error_response ?(wall_ms = 0.) ~id msg = { id; outcome = Error msg; wall_ms }
 
@@ -228,16 +221,14 @@ let carve ~global ~workers ~left =
     in
     Budget.earliest global (Budget.of_deadline_ms (int_of_float slice))
 
-let empty ~deadline_ms =
-  { responses = []; total_ms = 0.; workers = 0; deadline_ms; shared_builds = 0 }
+let empty = { responses = []; total_ms = 0.; workers = 0; shared_builds = 0 }
 
 let run ?pool ?(seed = Solver.default_seed) ?deadline_ms
     ?(solvers = Solver_registry.applicable) ?cache requests =
   match requests with
   | [] ->
-      (* An all-malformed serving batch reaches here: answer without
-         touching (or lazily creating) the pool. *)
-      empty ~deadline_ms
+      (* Answer without touching (or lazily creating) the pool. *)
+      empty
   | requests ->
       let pool = match pool with Some p -> p | None -> Pool.default () in
       let workers = Pool.size pool in
@@ -303,43 +294,11 @@ let run ?pool ?(seed = Solver.default_seed) ?deadline_ms
         responses;
         total_ms = Budget.now_ms () -. t0;
         workers;
-        deadline_ms;
         shared_builds = Atomic.get cache.hits - hits0;
       }
 
 (* ------------------------------------------------------------------ *)
-(* JSON documents.                                                     *)
-
-type summary = {
-  size : int;
-  ok : int;
-  cut_off : int;
-  total_ms : float;
-  workers : int;
-  deadline_ms : int option;
-  shared_builds : int;
-}
-
-let count s r =
-  let ok, cut_off =
-    match r.outcome with
-    | Ok solved -> (1, Bool.to_int solved.solution.Solution.cut_off)
-    | Error _ -> (0, 0)
-  in
-  { s with size = s.size + 1; ok = s.ok + ok; cut_off = s.cut_off + cut_off }
-
-let summary (t : t) =
-  List.fold_left count
-    {
-      size = 0;
-      ok = 0;
-      cut_off = 0;
-      total_ms = t.total_ms;
-      workers = t.workers;
-      deadline_ms = t.deadline_ms;
-      shared_builds = t.shared_builds;
-    }
-    t.responses
+(* The result document.                                                *)
 
 open Telemetry
 
@@ -392,21 +351,3 @@ let response_to_json ?(timing = true) r =
             ("plan", plan_to_json solved);
             ("solvers", List (List.map (report_to_json ~timing) solved.reports));
           ])
-
-let to_json ?(label = "batch") ?(extra = []) s =
-  Obj
-    ([
-       ("schema", String batch_schema_version);
-       ("label", String label);
-       ("size", Int s.size);
-       ("ok", Int s.ok);
-       ("errors", Int (s.size - s.ok));
-       ("cut_off", Int s.cut_off);
-       ("workers", Int s.workers);
-       ("deadline_ms", match s.deadline_ms with Some ms -> Int ms | None -> Null);
-       ("total_ms", Float s.total_ms);
-       ( "throughput_per_s",
-         if s.total_ms > 0. then Float (1000. *. float s.size /. s.total_ms) else Null );
-       ("shared_builds", Int s.shared_builds);
-     ]
-    @ extra)

@@ -10,8 +10,8 @@
     {!Problem.t}, not a [Hr_check.Case.t] — [hr_core] sits below
     [hr_check] in the library graph.  The case-level wiring (parsing
     [hyperreconf.case/1] documents into requests) lives in
-    [bin/hrserve.ml] and the conformance harness; both funnel through
-    this module.
+    [Hr_serve.Protocol] and the conformance harness; both funnel
+    through this module.
 
     {b Oracle sharing.}  Requests may carry a dedup [key] (the serving
     loop uses the case's canonical JSON).  Requests with equal keys
@@ -59,20 +59,17 @@ type response = {
   wall_ms : float;  (** this request's build + race wall clock *)
 }
 
-(** A completed batch: the input to {!to_json} and the bench. *)
+(** A completed batch. *)
 type t = {
   responses : response list;  (** in request order *)
   total_ms : float;
   workers : int;
-  deadline_ms : int option;
   shared_builds : int;  (** requests served from the key-dedup cache *)
 }
 
-(** ["hyperreconf.result/1"] / ["hyperreconf.batch/1"] — bump on
-    breaking changes to the corresponding document. *)
+(** ["hyperreconf.result/1"] — bump on breaking changes to the
+    {!response_to_json} document. *)
 val result_schema_version : string
-
-val batch_schema_version : string
 
 (** The key-dedup problem store {!run} shares builds through.  By
     default each run creates a private one; a caller can instead hold
@@ -161,31 +158,3 @@ val error_response : ?wall_ms:float -> id:string -> string -> response
     as 0, making the document reproducible byte for byte across
     runs and transports (hrserve's [--no-timing]). *)
 val response_to_json : ?timing:bool -> response -> Telemetry.json
-
-(** The aggregates of a [hyperreconf.batch/1] document.  They add up
-    one response at a time ({!count}), so a caller that streams many
-    batches need not keep its responses. *)
-type summary = {
-  size : int;
-  ok : int;
-  cut_off : int;  (** solved, but the deadline cut the race off *)
-  total_ms : float;
-  workers : int;
-  deadline_ms : int option;
-  shared_builds : int;
-}
-
-(** [summary t] is the aggregates of the batch [t]. *)
-val summary : t -> summary
-
-(** [count s r] is [s] with the response [r] added to its counts. *)
-val count : summary -> response -> summary
-
-(** [to_json ?label ?extra s] is the [hyperreconf.batch/1] document:
-    size, ok/error/cut-off counts, workers, deadline, wall clock,
-    throughput (instances/s) and shared builds.  [extra] fields (e.g.
-    hrserve's table-cache stats) are appended after them.  The
-    per-request results are not repeated: hrserve writes each one as
-    its own line. *)
-val to_json :
-  ?label:string -> ?extra:(string * Telemetry.json) list -> summary -> Telemetry.json

@@ -28,11 +28,6 @@ let find_exn name =
 let applicable problem =
   List.filter (fun s -> s.Solver.handles problem) (all ())
 
-let exact_for problem =
-  List.filter
-    (fun (s : Solver.t) -> s.Solver.kind = Solver.Exact)
-    (applicable problem)
-
 let solve ?rng ?seed ?budget name problem =
   Solver.solve ?rng ?seed ?budget (find_exn name) problem
 

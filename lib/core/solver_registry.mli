@@ -48,10 +48,6 @@ val names : unit -> string list
     predicate accepts [problem]. *)
 val applicable : Problem.t -> Solver.t list
 
-(** [exact_for problem] — the applicable solvers of kind [Exact]:
-    "which exact solvers handle this instance size?" *)
-val exact_for : Problem.t -> Solver.t list
-
 (** [solve ?rng ?seed ?budget name problem] =
     [Solver.solve (find_exn name)]. *)
 val solve :

@@ -5,10 +5,10 @@ open Hr_core
    measure. *)
 type t = {
   mu : Mutex.t;
-  mutable latencies : float list;  (* reversed arrival order *)
-  mutable nlat : int;
+  mutable latencies : float array;  (* the first [completed] are live *)
   mutable admitted : int;
   mutable shed : int;
+  mutable malformed : int;
   mutable completed : int;
   mutable errors : int;
   mutable cut_off : int;
@@ -17,10 +17,10 @@ type t = {
 let create () =
   {
     mu = Mutex.create ();
-    latencies = [];
-    nlat = 0;
+    latencies = Array.make 64 0.;
     admitted = 0;
     shed = 0;
+    malformed = 0;
     completed = 0;
     errors = 0;
     cut_off = 0;
@@ -32,40 +32,38 @@ let locked t f =
 
 let admit t = locked t (fun () -> t.admitted <- t.admitted + 1)
 let shed t = locked t (fun () -> t.shed <- t.shed + 1)
+let malformed t = locked t (fun () -> t.malformed <- t.malformed + 1)
 
 let complete t ~latency_ms (r : Batch.response) =
   locked t (fun () ->
-      t.latencies <- latency_ms :: t.latencies;
-      t.nlat <- t.nlat + 1;
-      t.completed <- t.completed + 1;
+      let n = t.completed in
+      if n = Array.length t.latencies then
+        t.latencies <- Array.append t.latencies (Array.make n 0.);
+      t.latencies.(n) <- latency_ms;
+      t.completed <- n + 1;
       match r.Batch.outcome with
       | Error _ -> t.errors <- t.errors + 1
       | Ok s ->
           if s.Batch.solution.Solution.cut_off then t.cut_off <- t.cut_off + 1)
 
-let latencies t =
-  locked t (fun () ->
-      let arr = Array.make t.nlat 0. in
-      List.iteri (fun i x -> arr.(t.nlat - 1 - i) <- x) t.latencies;
-      arr)
-
 type snapshot = {
   admitted : int;
   shed : int;
+  malformed : int;
   completed : int;
   errors : int;
   cut_off : int;
-  samples : float array;  (* per-request latencies, arrival order *)
+  samples : float array;  (* per-request latencies, completion order *)
 }
 
 let snapshot t =
-  let samples = latencies t in
   locked t (fun () ->
       {
         admitted = t.admitted;
         shed = t.shed;
+        malformed = t.malformed;
         completed = t.completed;
         errors = t.errors;
         cut_off = t.cut_off;
-        samples;
+        samples = Array.sub t.latencies 0 t.completed;
       })

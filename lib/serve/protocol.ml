@@ -6,7 +6,7 @@ type parsed =
   | Request of Batch.request
   | Malformed of { id : string; error : string }
 
-let parse_line ?max_table_bytes ?cache_dir ?oracle ~fallback_id line =
+let parse_line ?max_table_bytes ?cache_dir ~fallback_id line =
   match Telemetry.json_of_string line with
   | Error e -> Malformed { id = fallback_id; error = e }
   | Ok json ->
@@ -37,14 +37,14 @@ let parse_line ?max_table_bytes ?cache_dir ?oracle ~fallback_id line =
              tables agree).  Identical instances share one build across
              every batch of the process.
 
-             The per-request budget starts ticking here, at admission:
-             queue wait counts against a request's own deadline. *)
+             The per-request budget starts ticking here, as the line is
+             read: the wait for admission and in the queue counts
+             against a request's own deadline. *)
           Request
             (Batch.request
                ~key:(Digest.to_hex (Digest.string (Check.Case.to_string case)))
                ?budget:(Option.map Budget.of_deadline_ms deadline_ms)
-               ~id (fun () ->
-                 Check.Case.problem ?max_table_bytes ?cache_dir ?oracle case)))
+               ~id (fun () -> Check.Case.problem ?max_table_bytes ?cache_dir case)))
 
 let response_line ?timing r =
   Telemetry.json_to_string (Batch.response_to_json ?timing r)

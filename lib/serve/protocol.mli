@@ -1,5 +1,5 @@
-(** The JSON-lines wire format, shared by hrserve's [--stdio] loop and
-    the socket server — one parser and one serializer, so the two
+(** The JSON-lines wire format of {!Server}, on both of its transports
+    (stdio and sockets) — one parser and one serializer, so the two
     transports answer byte-identically.
 
     A request line is either a bare [hyperreconf.case/1] document or an
@@ -13,21 +13,17 @@ type parsed =
   | Request of Hr_core.Batch.request
   | Malformed of { id : string; error : string }
 
-(** [parse_line ?max_table_bytes ?cache_dir ?oracle ~fallback_id line]
-    parses one request line.  The request is keyed by the digest of the
+(** [parse_line ?max_table_bytes ?cache_dir ~fallback_id line] parses
+    one request line.  The request is keyed by the digest of the
     canonical case JSON (the cross-batch dedup/LRU key), builds its
     problem through [Hr_check.Case.problem] with the given table-cache
-    and oracle-policy knobs, and — when the envelope carries
-    [deadline_ms] — gets a per-request budget that starts ticking now,
-    at admission, so queue wait counts against it.  [fallback_id] is
+    knobs (the oracle rung is [Auto] under [max_table_bytes]), and —
+    when the envelope carries [deadline_ms] — gets a per-request budget
+    that starts ticking now, as the line is read, so the wait for
+    admission and in the queue counts against it.  [fallback_id] is
     used when the envelope does not choose an id. *)
 val parse_line :
-  ?max_table_bytes:int ->
-  ?cache_dir:string ->
-  ?oracle:Hr_core.Interval_cost.policy ->
-  fallback_id:string ->
-  string ->
-  parsed
+  ?max_table_bytes:int -> ?cache_dir:string -> fallback_id:string -> string -> parsed
 
 (** [response_line ?timing r] is the one-line [hyperreconf.result/1]
     rendering (trailing newline included).  [timing:false] zeroes the

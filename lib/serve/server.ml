@@ -4,11 +4,13 @@ module Budget = Hr_util.Budget
 
 let summary_schema_version = "hyperreconf.serve/1"
 
-type listen = [ `Unix_path of string | `Tcp of string * int ]
+type listen =
+  [ `Unix_path of string | `Tcp of string * int | `Stdio of Unix.file_descr * Unix.file_descr ]
 
 let listen_to_string = function
   | `Unix_path p -> "unix:" ^ p
   | `Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" (if h = "" then "*" else h) p
+  | `Stdio _ -> "stdio"
 
 let listen_of_string s =
   let unix path =
@@ -37,56 +39,56 @@ type config = {
   workers : int option;
   deadline_ms : int option;
   max_queue : int;
-  max_batch : int;
   seed : int;
   solvers : Problem.t -> Solver.t list;
   max_lru_bytes : int option;
   max_table_bytes : int option;
   cache_dir : string option;
-  oracle : Interval_cost.policy option;
   timing : bool;
   before_batch : (unit -> unit) option;
 }
 
-let config ?workers ?deadline_ms ?(max_queue = 64) ?max_batch
-    ?(seed = Solver.default_seed) ?(solvers = Solver_registry.applicable)
-    ?max_lru_bytes ?max_table_bytes ?cache_dir ?oracle ?(timing = true)
-    ?before_batch listen =
+let config ?workers ?deadline_ms ?(max_queue = 64) ?(seed = Solver.default_seed)
+    ?(solvers = Solver_registry.applicable) ?max_lru_bytes ?max_table_bytes
+    ?cache_dir ?(timing = true) ?before_batch listen =
   if max_queue < 1 then invalid_arg "Server.config: max_queue must be >= 1";
-  let max_batch = max 1 (Option.value max_batch ~default:max_queue) in
   {
     listen;
     workers;
     deadline_ms;
     max_queue;
-    max_batch;
     seed;
     solvers;
     max_lru_bytes;
     max_table_bytes;
     cache_dir;
-    oracle;
     timing;
     before_batch;
   }
+
+(* One place in a connection's reply sequence: [None] until its reply
+   line is known. *)
+type slot = { mutable line : string option }
+
+(* Per-connection state.  [cmu] guards the out_channel and the reply
+   sequence.  Every admitted request and every malformed line takes the
+   next slot, so replies go out in input order however the batches
+   finish; the connection is drained when its sequence is empty. *)
+type conn = {
+  oc : out_channel;
+  cmu : Mutex.t;
+  drained : Condition.t;
+  replies : slot Queue.t;
+  waits : bool;  (* stdio: wait for queue room instead of shedding *)
+  dead : bool Atomic.t;  (* a write failed: replies are dropped, reading stops *)
+}
 
 (* One admitted request waiting for (or in) a batch. *)
 type pending_req = {
   preq : Batch.request;
   admitted_ms : float;
-  reply : Batch.response -> unit;
-}
-
-(* Per-connection state.  [mu] guards the out_channel and the in-flight
-   count; the reader thread closes the socket only once every admitted
-   request has been answered, so a client that half-closes its write
-   side still receives every response. *)
-type conn = {
-  fd : Unix.file_descr;
-  oc : out_channel;
-  cmu : Mutex.t;
-  drained : Condition.t;
-  mutable inflight : int;
+  conn : conn;
+  slot : slot;
 }
 
 type t = {
@@ -94,12 +96,14 @@ type t = {
   pool : Pool.t;
   cache : Batch.build_cache;
   metrics : Metrics.t;
-  listen_fd : Unix.file_descr;
+  listen_fd : Unix.file_descr option;  (* None on stdio *)
   started_ms : float;
   mu : Mutex.t;
   nonempty : Condition.t;
+  room : Condition.t;
   queue : pending_req Queue.t;
-  mutable stopping : bool;
+  mutable stopping : bool;  (* no new connections; socket admission sheds *)
+  mutable readers_done : bool;  (* every connection has drained *)
   mutable connections : int;  (* lifetime accepted *)
   mutable open_fds : Unix.file_descr list;
   mutable conn_threads : Thread.t list;
@@ -109,6 +113,10 @@ type t = {
   mutable batches : int;
   mutable stopped_summary : Telemetry.json option;
 }
+
+let locked mu f =
+  Mutex.lock mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 (* ------------------------------------------------------------------ *)
 (* Summary document.                                                   *)
@@ -128,6 +136,7 @@ let summary_json t =
           ("connections", Telemetry.Int t.connections);
           ("admitted", Telemetry.Int m.Metrics.admitted);
           ("shed", Telemetry.Int m.Metrics.shed);
+          ("malformed", Telemetry.Int m.Metrics.malformed);
           ("completed", Telemetry.Int m.Metrics.completed);
           ("ok", Telemetry.Int (m.Metrics.completed - m.Metrics.errors));
           ("errors", Telemetry.Int m.Metrics.errors);
@@ -151,29 +160,67 @@ let summary_json t =
         ]
 
 (* ------------------------------------------------------------------ *)
-(* Dispatcher: drain whatever is queued (up to max_batch) into one
-   Batch.run on the pool; admission order is batch order, so each
-   connection's responses come back in its request order.  Runs until
-   told to stop AND the queue is dry — shutdown drains in-flight work,
-   it never drops an admitted request. *)
+(* Replies.                                                            *)
+
+(* Under [c.cmu].  A failed write ends the connection's output: later
+   replies are dropped and the reader stops at its next line. *)
+let output c f =
+  if not (Atomic.get c.dead) then
+    try f c.oc with Sys_error _ -> Atomic.set c.dead true
+
+(* Under [c.cmu]: write out every known reply at the head of the
+   sequence. *)
+let write_head c =
+  let rec go () =
+    match Queue.peek_opt c.replies with
+    | Some { line = Some l } ->
+        ignore (Queue.pop c.replies);
+        output c (fun oc -> output_string oc l);
+        go ()
+    | Some { line = None } | None -> ()
+  in
+  go ();
+  output c flush;
+  if Queue.is_empty c.replies then Condition.broadcast c.drained
+
+(* The next place in [c]'s reply sequence. *)
+let reserve c =
+  locked c.cmu (fun () ->
+      let slot = { line = None } in
+      Queue.push slot c.replies;
+      slot)
+
+let reply c slot line =
+  locked c.cmu (fun () ->
+      slot.line <- Some line;
+      write_head c)
+
+(* Out of sequence: an overloaded reply goes out at once. *)
+let reply_now c line =
+  locked c.cmu (fun () ->
+      output c (fun oc ->
+          output_string oc line;
+          flush oc))
+
+(* ------------------------------------------------------------------ *)
+(* Dispatcher: each batch is the whole admission queue — at most
+   max_queue requests, in admission order — run as one Batch.run on the
+   pool.  Runs until every connection has drained, so shutdown never
+   drops an admitted request. *)
 
 let dispatch_loop t =
   let rec go () =
     Mutex.lock t.mu;
-    while Queue.is_empty t.queue && not t.stopping do
+    while Queue.is_empty t.queue && not t.readers_done do
       Condition.wait t.nonempty t.mu
     done;
-    if Queue.is_empty t.queue then Mutex.unlock t.mu (* stopping, drained *)
+    if Queue.is_empty t.queue then Mutex.unlock t.mu
     else begin
-      let n = min t.cfg.max_batch (Queue.length t.queue) in
-      (* Drain in admission order — batch order is response order. *)
-      let rev = ref [] in
-      for _ = 1 to n do
-        rev := Queue.pop t.queue :: !rev
-      done;
-      let pendings = List.rev !rev in
+      let pendings = List.of_seq (Queue.to_seq t.queue) in
+      Queue.clear t.queue;
+      Condition.broadcast t.room;
       Mutex.unlock t.mu;
-      (match t.cfg.before_batch with Some f -> f () | None -> ());
+      Option.iter (fun f -> f ()) t.cfg.before_batch;
       let batch =
         Batch.run ~pool:t.pool ~seed:t.cfg.seed ?deadline_ms:t.cfg.deadline_ms
           ~solvers:t.cfg.solvers ~cache:t.cache
@@ -187,7 +234,7 @@ let dispatch_loop t =
       List.iter2
         (fun p r ->
           Metrics.complete t.metrics ~latency_ms:(now -. p.admitted_ms) r;
-          try p.reply r with _ -> ())
+          reply p.conn p.slot (Protocol.response_line ~timing:t.cfg.timing r))
         pendings batch.Batch.responses;
       go ()
     end
@@ -195,100 +242,104 @@ let dispatch_loop t =
   go ()
 
 (* ------------------------------------------------------------------ *)
-(* Connections.                                                        *)
+(* Connections: one reader per connection, whatever the transport.     *)
 
-let send_response t (c : conn) r =
-  Mutex.lock c.cmu;
-  (try
-     output_string c.oc (Protocol.response_line ~timing:t.cfg.timing r);
-     flush c.oc
-   with Sys_error _ -> () (* client went away; the result is dropped *));
-  Mutex.unlock c.cmu
+let admit t c req =
+  let refusal =
+    locked t.mu (fun () ->
+        let full () = Queue.length t.queue >= t.cfg.max_queue in
+        (* The transport decides: stdio applies backpressure, sockets
+           shed load. *)
+        let refusal =
+          if c.waits then begin
+            while full () do
+              Condition.wait t.room t.mu
+            done;
+            None
+          end
+          else if t.stopping then Some "overloaded: server shutting down"
+          else if full () then
+            Some
+              (Printf.sprintf "overloaded: admission queue full (%d queued, max %d)"
+                 (Queue.length t.queue) t.cfg.max_queue)
+          else None
+        in
+        (match refusal with
+        | None ->
+            Metrics.admit t.metrics;
+            Queue.push
+              { preq = req; admitted_ms = Budget.now_ms (); conn = c; slot = reserve c }
+              t.queue;
+            Condition.signal t.nonempty
+        | Some _ -> Metrics.shed t.metrics);
+        refusal)
+  in
+  (* Load shedding is an answer, not a dropped connection: the client
+     gets a structured error result for this id. *)
+  Option.iter
+    (fun msg ->
+      reply_now c
+        (Protocol.response_line ~timing:t.cfg.timing
+           (Batch.error_response ~id:req.Batch.id msg)))
+    refusal
 
-let handle_conn t fd =
-  let c =
-    {
-      fd;
-      oc = Unix.out_channel_of_descr fd;
-      cmu = Mutex.create ();
-      drained = Condition.create ();
-      inflight = 0;
-    }
-  in
-  let ic = Unix.in_channel_of_descr fd in
-  let reply r =
-    send_response t c r;
-    Mutex.lock c.cmu;
-    c.inflight <- c.inflight - 1;
-    if c.inflight = 0 then Condition.broadcast c.drained;
-    Mutex.unlock c.cmu
-  in
-  let admit req =
-    let now = Budget.now_ms () in
-    Mutex.lock t.mu;
-    let verdict =
-      if t.stopping then Error "overloaded: server shutting down"
-      else if Queue.length t.queue >= t.cfg.max_queue then
-        Error
-          (Printf.sprintf "overloaded: admission queue full (%d queued, max %d)"
-             (Queue.length t.queue) t.cfg.max_queue)
-      else begin
-        Mutex.lock c.cmu;
-        c.inflight <- c.inflight + 1;
-        Mutex.unlock c.cmu;
-        Queue.push { preq = req; admitted_ms = now; reply } t.queue;
-        Condition.signal t.nonempty;
-        Ok ()
-      end
-    in
-    Mutex.unlock t.mu;
-    match verdict with
-    | Ok () -> Metrics.admit t.metrics
-    | Error msg ->
-        (* Load shedding is an answer, not a dropped connection: the
-           client gets a structured error result for this id. *)
-        Metrics.shed t.metrics;
-        send_response t c (Batch.error_response ~id:req.Batch.id msg)
-  in
+let conn ~waits output =
+  {
+    oc = Unix.out_channel_of_descr output;
+    cmu = Mutex.create ();
+    drained = Condition.create ();
+    replies = Queue.create ();
+    waits;
+    dead = Atomic.make false;
+  }
+
+(* Read, parse and admit lines until EOF (or a dead output), then wait
+   until every reply in the sequence is written. *)
+let serve_conn t c ic =
   let rec loop k =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line when String.trim line = "" -> loop k
-    | line ->
-        (match
-           Protocol.parse_line ?max_table_bytes:t.cfg.max_table_bytes
-             ?cache_dir:t.cfg.cache_dir ?oracle:t.cfg.oracle
-             ~fallback_id:(Printf.sprintf "#%d" k)
-             line
-         with
-        | Protocol.Malformed { id; error } ->
-            send_response t c (Batch.error_response ~id ("bad request: " ^ error))
-        | Protocol.Request req -> admit req);
-        loop (k + 1)
+    if not (Atomic.get c.dead) then
+      match input_line ic with
+      | exception (End_of_file | Sys_error _) -> ()
+      | line when String.trim line = "" -> loop k
+      | line ->
+          (match
+             Protocol.parse_line ?max_table_bytes:t.cfg.max_table_bytes
+               ?cache_dir:t.cfg.cache_dir
+               ~fallback_id:(Printf.sprintf "#%d" k)
+               line
+           with
+          | Protocol.Malformed { id; error } ->
+              Metrics.malformed t.metrics;
+              reply c (reserve c)
+                (Protocol.response_line ~timing:t.cfg.timing
+                   (Batch.error_response ~id ("bad request: " ^ error)))
+          | Protocol.Request req -> admit t c req);
+          loop (k + 1)
   in
   loop 0;
-  (* Reader done (client half-closed or vanished): answer what is still
-     in flight before closing the socket. *)
-  Mutex.lock c.cmu;
-  while c.inflight > 0 do
-    Condition.wait c.drained c.cmu
-  done;
-  Mutex.unlock c.cmu;
-  (try close_out c.oc with Sys_error _ -> ());
+  locked c.cmu (fun () ->
+      while not (Queue.is_empty c.replies) do
+        Condition.wait c.drained c.cmu
+      done)
+
+let handle_socket t fd =
+  let c = conn ~waits:false fd in
+  serve_conn t c (Unix.in_channel_of_descr fd);
   Mutex.lock t.mu;
   t.open_fds <- List.filter (fun f -> f != fd) t.open_fds;
-  Mutex.unlock t.mu
+  Mutex.unlock t.mu;
+  close_out_noerr c.oc
 
 (* Accept via select with a short tick so [stop] can interrupt the loop
    portably (closing an fd does not wake a blocked accept on Linux). *)
-let accept_loop t =
+let accept_loop t listen_fd =
   let rec go () =
     if t.stopping then ()
     else
-      match Unix.select [ t.listen_fd ] [] [] 0.1 with
+      match Unix.select [ listen_fd ] [] [] 0.1 with
       | [], _, _ -> go ()
       | _ -> (
-          match Unix.accept ~cloexec:true t.listen_fd with
+          match Unix.accept ~cloexec:true listen_fd with
           | fd, _ ->
               Mutex.lock t.mu;
               if t.stopping then begin
@@ -298,7 +349,7 @@ let accept_loop t =
               else begin
                 t.connections <- t.connections + 1;
                 t.open_fds <- fd :: t.open_fds;
-                let th = Thread.create (fun () -> handle_conn t fd) () in
+                let th = Thread.create (fun () -> handle_socket t fd) () in
                 t.conn_threads <- th :: t.conn_threads;
                 Mutex.unlock t.mu
               end;
@@ -342,13 +393,20 @@ let bind_listen = function
       Unix.listen fd 64;
       fd
 
-let address t = Unix.getsockname t.listen_fd
+let address t =
+  match t.listen_fd with
+  | Some fd -> Unix.getsockname fd
+  | None -> invalid_arg "Server.address: the stdio transport has no address"
 
 let start cfg =
-  (* A client disconnecting mid-write must surface as an exception on
-     that write, not kill the process. *)
+  (* A client disconnecting mid-write, or a closed stdout, must surface
+     as an exception on that write, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let listen_fd = bind_listen cfg.listen in
+  let listen_fd =
+    match cfg.listen with
+    | `Stdio _ -> None
+    | (`Unix_path _ | `Tcp _) as l -> Some (bind_listen l)
+  in
   let t =
     {
       cfg;
@@ -359,8 +417,10 @@ let start cfg =
       started_ms = Budget.now_ms ();
       mu = Mutex.create ();
       nonempty = Condition.create ();
+      room = Condition.create ();
       queue = Queue.create ();
       stopping = false;
+      readers_done = false;
       connections = 0;
       open_fds = [];
       conn_threads = [];
@@ -372,7 +432,21 @@ let start cfg =
     }
   in
   t.dispatch_thread <- Some (Thread.create (fun () -> dispatch_loop t) ());
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  (* stdio is one connection over the two descriptors, which stay the
+     caller's: the server flushes its replies but closes neither. *)
+  (match cfg.listen with
+  | `Stdio (input, output) ->
+      t.connections <- 1;
+      t.conn_threads <-
+        [
+          Thread.create
+            (fun () -> serve_conn t (conn ~waits:true output) (Unix.in_channel_of_descr input))
+            ();
+        ]
+  | `Unix_path _ | `Tcp _ -> ());
+  Option.iter
+    (fun fd -> t.accept_thread <- Some (Thread.create (fun () -> accept_loop t fd) ()))
+    listen_fd;
   t
 
 let stop t =
@@ -380,19 +454,19 @@ let stop t =
     Mutex.lock t.mu;
     let was = t.stopping in
     t.stopping <- true;
-    Condition.broadcast t.nonempty;
     Mutex.unlock t.mu;
     was
   in
   if not already then begin
     (* 1. Stop accepting. *)
     Option.iter Thread.join t.accept_thread;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.listen_fd;
     (match t.cfg.listen with
     | `Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | `Tcp _ -> ());
-    (* 2. Force EOF on idle readers; admitted requests stay in flight —
-       each connection closes only after its responses are written. *)
+    | `Tcp _ | `Stdio _ -> ());
+    (* 2. Force EOF on idle socket readers (the stdio reader runs to its
+       own EOF); admitted requests stay in flight — each connection
+       ends only after its reply sequence is written. *)
     let fds =
       Mutex.lock t.mu;
       let fds = t.open_fds in
@@ -410,7 +484,12 @@ let stop t =
       ths
     in
     List.iter Thread.join conn_threads;
-    (* 3. Drain: the dispatcher exits once the queue is dry. *)
+    (* 3. Every connection has drained, so the queue is dry: let the
+       dispatcher exit. *)
+    Mutex.lock t.mu;
+    t.readers_done <- true;
+    Condition.broadcast t.nonempty;
+    Mutex.unlock t.mu;
     Option.iter Thread.join t.dispatch_thread;
     (* 4. Snapshot the summary BEFORE tearing the pool down — the
        workers count and cache statistics must describe the serving
@@ -423,18 +502,30 @@ let stop_requested = Atomic.make false
 
 let run ?(handle_signals = true) cfg ~summary =
   Atomic.set stop_requested false;
-  let previous =
-    if handle_signals then
-      List.map
-        (fun s ->
-          (s, Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true))))
-        [ Sys.sigint; Sys.sigterm ]
-    else []
+  let t, previous =
+    match cfg.listen with
+    | `Stdio _ ->
+        (* No signal handlers: the input's EOF is the stop request. *)
+        let t = start cfg in
+        List.iter Thread.join t.conn_threads;
+        (t, [])
+    | `Unix_path _ | `Tcp _ ->
+        let previous =
+          if handle_signals then
+            List.map
+              (fun s ->
+                ( s,
+                  Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true))
+                ))
+              [ Sys.sigint; Sys.sigterm ]
+          else []
+        in
+        let t = start cfg in
+        while not (Atomic.get stop_requested) do
+          Thread.delay 0.05
+        done;
+        (t, previous)
   in
-  let t = start cfg in
-  while not (Atomic.get stop_requested) do
-    Thread.delay 0.05
-  done;
   stop t;
   List.iter (fun (s, b) -> try Sys.set_signal s b with Invalid_argument _ -> ()) previous;
   summary (summary_json t)

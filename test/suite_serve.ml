@@ -1,6 +1,8 @@
 (* lib/serve conformance: interleaved socket clients, deterministic
-   load shedding, per-request deadlines, byte-parity with the stdio
-   pipeline, and the latency-summary guards. *)
+   load shedding and stdio backpressure, reply order on both
+   transports, the summary's line identities, per-request deadlines,
+   byte-parity with the in-process pipeline, and the latency-summary
+   guards. *)
 
 open Hr_core
 module Check = Hr_check
@@ -48,6 +50,84 @@ let response_id line =
   match response_field "id" line with
   | Some (Telemetry.String s) -> s
   | _ -> Alcotest.failf "response without id: %s" line
+
+(* A stdio-transport server over two pipes: [f] writes the server's
+   input on [input] and reads its replies from [output].  Closing
+   [input] is the server's EOF; the descriptors stay the test's. *)
+let with_stdio_server ?max_queue ?before_batch f =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let t =
+    Server.start
+      (Server.config ?max_queue ?before_batch ~timing:false (`Stdio (in_r, out_w)))
+  in
+  let input = Unix.out_channel_of_descr in_w in
+  let output = Unix.in_channel_of_descr out_r in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr input;
+      Server.stop t;
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ in_r; out_w ];
+      close_in_noerr output)
+    (fun () -> f t input output)
+
+let send_all oc lines =
+  List.iter
+    (fun l ->
+      output_string oc l;
+      output_char oc '\n')
+    lines;
+  flush oc
+
+let recv_n ic n = List.init n (fun _ -> input_line ic)
+
+(* A dispatcher hook that holds every batch until [release ()];
+   [await ()] returns once a batch is held. *)
+let holding_hook () =
+  let gate = Atomic.make true and in_batch = Atomic.make false in
+  let hook () =
+    Atomic.set in_batch true;
+    while Atomic.get gate do
+      Thread.delay 0.001
+    done
+  in
+  let await () =
+    while not (Atomic.get in_batch) do
+      Thread.delay 0.001
+    done
+  in
+  let release () = Atomic.set gate false in
+  (hook, await, release)
+
+let summary_field t name =
+  match Server.summary_json t with
+  | Telemetry.Obj fields -> (
+      match List.assoc_opt name fields with
+      | Some v -> v
+      | None -> Alcotest.failf "summary has no %s" name)
+  | _ -> Alcotest.fail "summary is not an object"
+
+let summary_int t name =
+  match summary_field t name with
+  | Telemetry.Int i -> i
+  | _ -> Alcotest.failf "summary %s is not an integer" name
+
+(* The line identities, once every reply has been read: each non-blank
+   line is admitted, shed or malformed; every admitted request has
+   completed; and every completed request looked the LRU up once. *)
+let check_line_counts t ~lines =
+  let get = summary_int t in
+  check Alcotest.int "lines = admitted + shed + malformed" lines
+    (get "admitted" + get "shed" + get "malformed");
+  check Alcotest.int "completed = admitted" (get "admitted") (get "completed");
+  match summary_field t "lru_cache" with
+  | Telemetry.Obj lru ->
+      let n k =
+        match List.assoc_opt k lru with Some (Telemetry.Int i) -> i | _ -> -1
+      in
+      check Alcotest.int "lru hits + misses = completed" (get "completed")
+        (n "hits" + n "misses")
+  | _ -> Alcotest.fail "summary lru_cache is not an object"
 
 let corpus_cases () =
   List.map
@@ -241,6 +321,108 @@ let test_socket_matches_stdio_bytes () =
       close c;
       check Alcotest.string "socket responses = stdio responses" expected got)
 
+(* Valid [A], an unparsable line (fallback id #1), valid [C], and [D]
+   whose case has an unknown schema. *)
+let mixed_stream () =
+  let lines = corpus_lines () in
+  [
+    envelope ~id:"A" (List.nth lines 0);
+    "{not json";
+    envelope ~id:"C" (List.nth lines 1);
+    {|{"id":"D","case":{"schema":"hyperreconf.case/9"}}|};
+  ]
+
+let test_reply_order () =
+  (* Every connection answers in input order, malformed lines included,
+     and both transports answer the same bytes. *)
+  let stream = mixed_stream () in
+  let expected = [ "A"; "#1"; "C"; "D" ] in
+  let path = sock_path () in
+  let socket_replies =
+    with_server (Server.config ~timing:false (`Unix_path path)) (fun t ->
+        let c = connect path in
+        List.iter (send c) stream;
+        half_close c;
+        let got = recv_n c.ic 4 in
+        close c;
+        check Alcotest.(list string) "socket reply order" expected (List.map response_id got);
+        check Alcotest.int "socket: two malformed" 2 (summary_int t "malformed");
+        check_line_counts t ~lines:4;
+        got)
+  in
+  let stdio_replies =
+    with_stdio_server (fun t input output ->
+        send_all input stream;
+        let got = recv_n output 4 in
+        check Alcotest.(list string) "stdio reply order" expected (List.map response_id got);
+        check Alcotest.int "stdio: two malformed" 2 (summary_int t "malformed");
+        check_line_counts t ~lines:4;
+        got)
+  in
+  check Alcotest.(list string) "stdio bytes = socket bytes" socket_replies stdio_replies
+
+let test_line_counts_with_shedding () =
+  (* The identities hold when lines are shed too: hold the first batch,
+     fill the one-slot queue, overflow it, and add a malformed and a
+     blank line (blank lines count nowhere). *)
+  let path = sock_path () in
+  let hook, await, release = holding_hook () in
+  let lines = corpus_lines () in
+  with_server
+    (Server.config ~max_queue:1 ~timing:false ~before_batch:hook (`Unix_path path))
+    (fun t ->
+      let c = connect path in
+      send c (envelope ~id:"first" (List.nth lines 0));
+      await ();
+      send c (envelope ~id:"second" (List.nth lines 1));
+      Thread.delay 0.05;
+      send c (envelope ~id:"third" (List.nth lines 2));
+      send c "";
+      send c "{not json";
+      check Alcotest.string "overloaded reply first" "third" (response_id (recv c));
+      release ();
+      half_close c;
+      let got = recv_n c.ic 3 in
+      close c;
+      check Alcotest.(list string) "sequence in input order" [ "first"; "second"; "#3" ]
+        (List.map response_id got);
+      check Alcotest.int "one shed" 1 (summary_int t "shed");
+      check_line_counts t ~lines:4)
+
+let test_stdio_backpressure () =
+  (* With the first batch held and a one-slot queue, the stdio reader
+     waits for room instead of shedding; after release every reply
+     arrives, in input order. *)
+  let hook, await, release = holding_hook () in
+  let lines = corpus_lines () in
+  let ids = List.init 6 (Printf.sprintf "r%d") in
+  with_stdio_server ~max_queue:1 ~before_batch:hook (fun t input output ->
+      send_all input
+        (List.mapi (fun i id -> envelope ~id (List.nth lines (i mod List.length lines))) ids);
+      close_out input;
+      await ();
+      (* One request held in the batch, one queued, the reader waiting. *)
+      while summary_int t "admitted" < 2 do
+        Thread.delay 0.001
+      done;
+      Thread.delay 0.05;
+      check Alcotest.int "held: two admitted" 2 (summary_int t "admitted");
+      check Alcotest.int "held: nothing shed" 0 (summary_int t "shed");
+      (match Unix.select [ Unix.descr_of_in_channel output ] [] [] 0. with
+      | [], _, _ -> ()
+      | _ -> Alcotest.fail "a reply was written while its batch was held");
+      release ();
+      let got = recv_n output (List.length ids) in
+      check Alcotest.(list string) "every reply, in input order" ids (List.map response_id got);
+      List.iter
+        (fun line ->
+          match response_field "ok" line with
+          | Some (Telemetry.Bool true) -> ()
+          | _ -> Alcotest.failf "request failed: %s" line)
+        got;
+      check Alcotest.int "never shed" 0 (summary_int t "shed");
+      check_line_counts t ~lines:(List.length ids))
+
 let test_listen_of_string () =
   let ok s = Result.get_ok (Server.listen_of_string s) in
   check Alcotest.bool "unix:" true (ok "unix:/tmp/x.sock" = `Unix_path "/tmp/x.sock");
@@ -294,6 +476,11 @@ let tests =
       test_per_request_deadline;
     Alcotest.test_case "socket = stdio, byte for byte" `Quick
       test_socket_matches_stdio_bytes;
+    Alcotest.test_case "reply order on both transports" `Quick test_reply_order;
+    Alcotest.test_case "line counts reconcile under shedding" `Quick
+      test_line_counts_with_shedding;
+    Alcotest.test_case "stdio backpressure never sheds" `Quick
+      test_stdio_backpressure;
     Alcotest.test_case "listen address parsing" `Quick test_listen_of_string;
     Alcotest.test_case "latency summary on empty samples" `Quick
       test_latency_summary_guards;
