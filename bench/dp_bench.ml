@@ -272,13 +272,15 @@ let () =
   in
   let cache = Table_cache.of_dir cache_dir in
   let cts = W.Multi_gen.independent (Rng.create (seed + 2)) oracle_spec in
+  let key = "dp-bench-table" in
   let cold_oracle, cold_ms =
-    (* One reps: a second pass would be served by the file just stored
-       and no longer measure the cold path. *)
+    (* One rep: a second would only rebuild and overwrite the same
+       file. *)
     time_best ~reps:1 (fun () ->
-        Interval_cost.precompute ~cache (Interval_cost.of_task_set cts))
+        let o = Interval_cost.of_task_set cts in
+        Interval_cost.store cache ~key o;
+        o)
   in
-  let key = Option.get cold_oracle.Interval_cost.fingerprint in
   let dims = (cold_oracle.Interval_cost.m, cold_oracle.Interval_cost.n) in
   let warm_oracle, warm_ms =
     time_best ~reps:3 (fun () ->
@@ -322,7 +324,7 @@ let () =
     time_best ~reps:1 (fun () ->
         Interval_cost.of_task_set ~policy:Interval_cost.Sparse lts)
   in
-  let dense_projected_bytes = Interval_cost.projected_dense_bytes ~m:large_m ~n:large_n in
+  let dense_projected_bytes = Interval_cost.projected_dense_bytes ~bound:0 ~m:large_m ~n:large_n in
   let greedy, greedy_ms =
     time_best ~reps:1 (fun () -> Mt_greedy.best sparse_oracle)
   in

@@ -56,6 +56,12 @@ let oracle_v t =
       Array.map (Array.fold_left ( + ) 0) weights
   | Dag { w; _ } -> [| w |]
 
+let dag_model ~num_contexts ~w ~costs ~sat_sizes =
+  let sats =
+    Array.map (fun size -> Hr_util.Bitset.of_list num_contexts (List.init size Fun.id)) sat_sizes
+  in
+  Dag_model.chain ~num_contexts ~w ~costs ~sats
+
 let build_oracle ?policy ?max_bytes t =
   match t.spec with
   | Switch { widths; vs; reqs } ->
@@ -66,13 +72,7 @@ let build_oracle ?policy ?max_bytes t =
       let vs = Array.map (fun _ -> 0) widths in
       Weighted.oracle (task_set widths vs reqs) ~weights
   | Dag { num_contexts; w; costs; sat_sizes; seq } ->
-      let sats =
-        Array.map
-          (fun size -> Hr_util.Bitset.of_list num_contexts (List.init size Fun.id))
-          sat_sizes
-      in
-      let model = Dag_model.chain ~num_contexts ~w ~costs ~sats in
-      Dag_model.oracle ~v:[| w |] [| model |] [| seq |]
+      Dag_model.oracle ~v:[| w |] [| dag_model ~num_contexts ~w ~costs ~sat_sizes |] [| seq |]
 
 let model_name t =
   match t.spec with Switch _ -> "switch" | Weighted _ -> "weighted" | Dag _ -> "dag"
@@ -188,33 +188,49 @@ let to_string t = json_to_string (to_json t)
    table file). *)
 let oracle_key t = Digest.to_hex (Digest.string (json_to_string (spec_to_json t.spec)))
 
+(* May a stored table stand in for the build at [cap] bytes?  Only when
+   that build ends with a dense table, by its own constructor's rule: a
+   switch case under [Auto] goes sparse once its 16-bit projection
+   exceeds the cap, a DAG oracle stays direct once its table would
+   ([precompute]'s rule, at the bound of the widest block: the cheapest
+   node covering the whole trace), and a weighted table is always
+   built.  A forced-sparse request never touches the cache. *)
+let cacheable ?policy ~cap t =
+  match (t.spec, policy) with
+  | _, Some Interval_cost.Sparse -> false
+  | Weighted _, _ | Switch _, Some Interval_cost.Dense -> true
+  | Switch _, (None | Some Interval_cost.Auto) ->
+      Interval_cost.projected_dense_bytes ~bound:0 ~m:(m t) ~n:(n t) <= cap
+  | Dag { num_contexts; w; costs; sat_sizes; seq }, _ ->
+      let model = dag_model ~num_contexts ~w ~costs ~sat_sizes in
+      let top = Option.get (Dag_model.cheapest_for model (Array.to_list seq)) in
+      let bound = (Dag_model.node model top).Dag_model.cost in
+      Interval_cost.projected_dense_bytes ~bound ~m:1 ~n:(n t) <= cap
+
 let problem ?max_table_bytes ?cache_dir ?oracle t =
   let mk = Problem.make ~params:t.params ~mode:t.mode ~machine_class:t.machine_class in
+  let build () =
+    mk ?max_bytes:max_table_bytes (build_oracle ?policy:oracle ?max_bytes:max_table_bytes t)
+  in
+  let cap = Option.value max_table_bytes ~default:Interval_cost.default_max_bytes in
+  let p =
+    match cache_dir with
+    | Some dir when cacheable ?policy:oracle ~cap t -> (
+        let cache = Table_cache.of_dir dir and key = oracle_key t in
+        (* Warm path: the oracle straight from the mapped table.  The
+           constructors are O(m·n²), so a hit skips them; m, n and v
+           come from the spec in O(input). *)
+        match Interval_cost.of_cache cache ~key ~m:(m t) ~n:(n t) ~v:(oracle_v t) with
+        | Some o -> mk o
+        | None ->
+            let p = build () in
+            Interval_cost.store cache ~key p.Problem.oracle;
+            p)
+    | _ -> build ()
+  in
   (* The fabric extends the problem after the oracle is built — on the
      warm cache path too, since the dense tables are fabric-independent. *)
-  let extend p =
-    match t.place with None -> p | Some f -> Hr_place.Joint.attach p f
-  in
-  extend
-    (match (oracle, cache_dir) with
-    (* A forced-sparse oracle never touches the dense table cache —
-       neither the warm mmap path nor the write-back make sense for an
-       index that is rebuilt in O(input). *)
-    | Some Interval_cost.Sparse, _ | _, None ->
-        mk ?max_bytes:max_table_bytes
-          (build_oracle ?policy:oracle ?max_bytes:max_table_bytes t)
-    | _, Some dir -> (
-        let cache = Table_cache.of_dir dir in
-        let key = oracle_key t in
-        (* Warm path: reconstruct the oracle straight from the mapped
-           table.  The oracle constructors are O(m·n²) (they build the
-           dense table), so a hit must skip them entirely — m, n and v
-           are derivable from the spec in O(input). *)
-        match Interval_cost.of_cache cache ~key ~m:(m t) ~n:(n t) ~v:(oracle_v t) with
-        | Some oracle -> mk oracle
-        | None ->
-            mk ?max_bytes:max_table_bytes ~cache_dir:dir ~cache_key:key
-              (build_oracle ?policy:oracle ?max_bytes:max_table_bytes t)))
+  match t.place with None -> p | Some f -> Hr_place.Joint.attach p f
 
 (* ------------------------------------------------------------------ *)
 (* JSON decoding with validation.  Everything funnels through [check]
@@ -411,23 +427,11 @@ let of_json j =
     in_field "machine_class"
       (Result.bind (Result.bind (field "machine_class" j) as_string) class_of_name)
   in
-  (* Mirror Problem.make's mode/params compatibility rules so corpus
-     errors surface as Error, not Invalid_argument at build time. *)
-  let* () =
-    match mode with
-    | Mixed_sync.Fully_synchronized -> Ok ()
-    | _ ->
-        let* () = check (w = 0) "nonzero w needs the fully synchronized mode" in
-        let* () =
-          check
-            (hyper = Sync_cost.Task_parallel && reconf = Sync_cost.Task_parallel)
-            "sequential uploads need the fully synchronized mode"
-        in
-        check
-          (pub = 0 || mode = Mixed_sync.Context_synchronized)
-          "pub > 0 needs context or full synchronization"
-  in
-  let partial = { spec; params = { Sync_cost.w; pub; hyper; reconf }; mode; machine_class; place = None } in
+  let params = { Sync_cost.w; pub; hyper; reconf } in
+  (* Problem.make's rules, checked here so a bad case surfaces as Error,
+     not as Invalid_argument at build time. *)
+  let* () = Problem.check_mode_params mode params in
+  let partial = { spec; params; mode; machine_class; place = None } in
   match field "fabric" j with
   | Error _ -> Ok partial
   | Ok fj ->

@@ -57,22 +57,30 @@ val m : t -> int
 val n : t -> int
 
 (** [problem ?max_table_bytes ?cache_dir ?oracle t] builds the instance
-    (precomputed oracle).  [max_table_bytes] caps the dense-table
-    memory: over it a switch case gets the sparse index under the
-    [Auto] policy and a DAG oracle stays direct
-    ({!Hr_core.Problem.make}'s [max_bytes]); a weighted table has no
-    sparse form and is always built.  With [cache_dir]
-    the dense table is served from the persistent
-    {!Hr_core.Table_cache} under {!oracle_key} when a valid entry
-    exists — skipping even the oracle construction, so a warm build
-    performs no O(m·n²) work — and stored there after a cold build.
+    (precomputed oracle).  It is the one path from a case to a
+    {!Hr_core.Problem.t}, and the only code that reads or writes the
+    persistent {!Hr_core.Table_cache}.
+
+    [max_table_bytes] caps the dense-table memory: over it a switch
+    case gets the sparse index under the [Auto] policy and a DAG oracle
+    stays direct ({!Hr_core.Problem.make}'s [max_bytes]); a weighted
+    table has no sparse form and is always built.
+
+    With [cache_dir], a case whose build at that cap ends dense looks
+    its table up under {!oracle_key} first.  A hit maps the stored
+    table and skips even the oracle construction, so a warm build
+    performs no O(m·n²) work; a miss builds and stores the table.  A
+    case whose build at the cap would not be dense skips the lookup,
+    so the cap bounds mapped tables as it bounds built ones.
+
     [oracle] picks the rung of the oracle ladder for switch-model
     cases ({!Hr_core.Interval_cost.policy}; default [Auto]); forcing
-    [Sparse] bypasses the table cache entirely (an {!Hr_core.Occ_index}
-    rebuilds in O(input), and is never densified).  Weighted and DAG
-    cases build their own oracles and ignore the policy.  Raises
-    [Invalid_argument] on an inconsistent case — {!of_string}
-    validates enough that loaded corpus cases never do. *)
+    [Sparse] bypasses the table cache entirely (an
+    {!Hr_core.Occ_index} rebuilds in O(input), and is never
+    densified).  Weighted and DAG cases build their own oracles and
+    otherwise ignore the policy.  Raises [Invalid_argument] on an
+    inconsistent case — {!of_string} validates enough that loaded
+    corpus cases never do. *)
 val problem :
   ?max_table_bytes:int ->
   ?cache_dir:string ->

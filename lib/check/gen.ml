@@ -39,9 +39,11 @@ let gen_mode rng =
   | 4 -> Mixed_sync.Context_synchronized
   | _ -> Mixed_sync.Non_synchronized
 
-(* Parameters compatible with the drawn mode (Problem.make's rules):
+(* Parameters compatible with the drawn mode (Problem.check_mode_params):
    outside full synchronization w = 0 and uploads are task-parallel,
-   and pub > 0 additionally needs context synchronization. *)
+   and pub > 0 additionally needs context synchronization.  Drawn by
+   hand rather than by rejection, so the suite checks this mirror
+   against the rules. *)
 let gen_params rng mode =
   match mode with
   | Mixed_sync.Fully_synchronized ->

@@ -38,7 +38,6 @@ type t = {
   v : int array;
   step_cost : int -> int -> int -> int;
   cache : cache;
-  fingerprint : string option;
 }
 
 let no_stats =
@@ -95,7 +94,7 @@ let make ~m ~n ~v ~step_cost =
   if m <= 0 then invalid_arg "Interval_cost.make: m must be positive";
   if n < 0 then invalid_arg "Interval_cost.make: negative n";
   if Array.length v <> m then invalid_arg "Interval_cost.make: |v| <> m";
-  { m; n; v = Array.copy v; step_cost; cache = Direct; fingerprint = None }
+  { m; n; v = Array.copy v; step_cost; cache = Direct }
 
 (* ------------------------------------------------------------------ *)
 (* The dense layout.  Only the upper triangle lo <= hi exists: task j's
@@ -121,8 +120,6 @@ let dense_lookup ~n table =
 (* Parallelize a dense build on the pool at or above this many cells;
    below it, queue traffic would dominate the row sweeps. *)
 let parallel_build_cells = 1 lsl 15
-
-let width_bytes_for bound = if bound <= 0xFFFF then 2 else if bound <= Int32.to_int Int32.max_int then 4 else 8
 
 (* The one dense build.  [fill write base j lo] writes cell (j, lo, hi)
    at index [base + hi] for every hi in lo..n-1.  The (task, lo) rows
@@ -176,8 +173,8 @@ let build_dense ?pool ~m ~n ~bound fill =
   in
   (table, Dense_table { table; build_ms; build_workers; build_seq_ms; source = Built })
 
-let dense ~m ~n ~v ~fingerprint (table, cache) =
-  { (make ~m ~n ~v ~step_cost:(dense_lookup ~n table)) with cache; fingerprint }
+let dense ~m ~n ~v (table, cache) =
+  { (make ~m ~n ~v ~step_cost:(dense_lookup ~n table)) with cache }
 
 (* The switch-model fill: row lo of task j grows one union from step lo
    to n−1 and writes [measure j] of it after each step.  The whole
@@ -199,30 +196,6 @@ let sweep ?pool ts ~measure =
 
 let task_vs ts = Array.init (Task_set.num_tasks ts) (fun j -> (Task_set.get ts j).Task_set.v)
 
-(* The structural hash of a task set: everything the switch-model dense
-   table is a function of (constructor tag, dimensions, per-task v,
-   local-space width, and every step requirement).  Equal task sets
-   hash equal; any change to a requirement changes the digest. *)
-let task_set_fingerprint ts =
-  let buf = Buffer.create 1024 in
-  let m = Task_set.num_tasks ts and n = Task_set.steps ts in
-  Buffer.add_string buf (Printf.sprintf "hyperreconf.oracle/switch/1|m=%d|n=%d" m n);
-  for j = 0 to m - 1 do
-    let task = Task_set.get ts j in
-    Buffer.add_string buf
-      (Printf.sprintf "|task %d v=%d width=%d" j task.Task_set.v
-         (Switch_space.size (Trace.space task.Task_set.trace)));
-    for i = 0 to n - 1 do
-      Buffer.add_char buf ';';
-      Hr_util.Bitset.iter
-        (fun s ->
-          Buffer.add_string buf (string_of_int s);
-          Buffer.add_char buf ',')
-        (Trace.req task.Task_set.trace i)
-    done
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 (* 128 MiB: the same ceiling the old 16M-cell ([int array], 8 B/cell)
    default imposed, but now width-aware — a 16-bit table fits 4x the
    cells in the same budget. *)
@@ -230,11 +203,10 @@ let default_max_bytes = 128 * 1024 * 1024
 
 let dense_of_task_set ?pool ts =
   dense ~m:(Task_set.num_tasks ts) ~n:(Task_set.steps ts) ~v:(task_vs ts)
-    ~fingerprint:(Some (task_set_fingerprint ts))
     (sweep ?pool ts ~measure:(fun _ acc -> Bitset.cardinal acc))
 
 let of_weighted ~v ~weights ts =
-  dense ~m:(Task_set.num_tasks ts) ~n:(Task_set.steps ts) ~v ~fingerprint:None
+  dense ~m:(Task_set.num_tasks ts) ~n:(Task_set.steps ts) ~v
     (sweep ts ~measure:(fun j acc ->
          let w = weights.(j) in
          Bitset.fold (fun x s -> s + w.(x)) acc 0))
@@ -248,15 +220,13 @@ let sparse_of_task_set ts =
   in
   let build_ms = Hr_util.Budget.now_ms () -. t0 in
   let step_cost j lo hi = Occ_index.size indexes.(j) lo hi in
-  {
-    (make ~m ~n ~v:(task_vs ts) ~step_cost) with
-    cache = Sparse_index { indexes; build_ms };
-    fingerprint = Some (task_set_fingerprint ts);
-  }
+  { (make ~m ~n ~v:(task_vs ts) ~step_cost) with cache = Sparse_index { indexes; build_ms } }
 
-(* The dense footprint at the 2-byte minimum width — the cheapest the
-   dense rung can possibly be. *)
-let projected_dense_bytes ~m ~n = 2 * dense_cells ~m ~n
+(* The dense footprint at the width [bound] needs; at bound 0 that is the
+   2-byte minimum — the cheapest the dense rung can possibly be. *)
+let projected_dense_bytes ~bound ~m ~n =
+  let width = if bound <= 0xFFFF then 2 else if bound <= Int32.to_int Int32.max_int then 4 else 8 in
+  width * dense_cells ~m ~n
 
 let of_task_set ?pool ?(policy = Auto) ?(max_bytes = default_max_bytes) ts =
   match policy with
@@ -264,7 +234,7 @@ let of_task_set ?pool ?(policy = Auto) ?(max_bytes = default_max_bytes) ts =
   | Sparse -> sparse_of_task_set ts
   | Auto ->
       let m = Task_set.num_tasks ts and n = Task_set.steps ts in
-      if projected_dense_bytes ~m ~n > max_bytes then sparse_of_task_set ts
+      if projected_dense_bytes ~bound:0 ~m ~n > max_bytes then sparse_of_task_set ts
       else dense_of_task_set ?pool ts
 
 let of_single ?pool ?policy ?max_bytes ~v trace =
@@ -288,38 +258,30 @@ let of_cache cache ~key ~m ~n ~v =
   if m <= 0 || n < 0 then None
   else
     Option.map
-      (fun table -> dense ~m ~n ~v ~fingerprint:(Some key) (mapped table))
+      (fun table -> dense ~m ~n ~v (mapped table))
       (Table_cache.load cache ~key ~cells:(dense_cells ~m ~n))
 
-let precompute ?(max_bytes = default_max_bytes) ?cache ?pool t =
-  let store table =
-    match (cache, t.fingerprint) with
-    | Some c, Some key -> Table_cache.store c ~key table
-    | _ -> ()
-  in
-  (* Only written, never read: callers look the table up before they
-     build, so a lookup here would repeat their miss.  A mapped table
-     is the cache's own copy, and a sparse oracle is never densified. *)
+(* A mapped table is the cache's own copy and a sparse or direct oracle
+   has no table, so only a table built in this process is written. *)
+let store cache ~key t =
   match t.cache with
-  | Dense_table { table; source = Built; _ } ->
-      store table;
-      t
-  | Dense_table { source = Mapped; _ } | Sparse_index _ -> t
+  | Dense_table { table; source = Built; _ } -> Table_cache.store cache ~key table
+  | Dense_table { source = Mapped; _ } | Sparse_index _ | Direct -> ()
+
+let precompute ?(max_bytes = default_max_bytes) ?pool t =
+  match t.cache with
+  | Dense_table _ | Sparse_index _ -> t
   | Direct when t.n = 0 -> t
   | Direct ->
       let m = t.m and n = t.n in
-      let cells = dense_cells ~m ~n in
       let bound = value_bound t in
       (* Over the memory budget a custom oracle stays direct. *)
-      if cells * width_bytes_for bound > max_bytes then t
+      if projected_dense_bytes ~bound ~m ~n > max_bytes then t
       else
-        let ((table, _) as built) =
-          build_dense ?pool ~m ~n ~bound (fun write base j lo ->
-              for hi = lo to n - 1 do
-                write (base + hi) (t.step_cost j lo hi)
-              done)
-        in
-        store table;
-        dense ~m ~n ~v:t.v ~fingerprint:t.fingerprint built
+        dense ~m ~n ~v:t.v
+          (build_dense ?pool ~m ~n ~bound (fun write base j lo ->
+               for hi = lo to n - 1 do
+                 write (base + hi) (t.step_cost j lo hi)
+               done))
 
 let full_cost t j = if t.n = 0 then 0 else t.step_cost j 0 (t.n - 1)

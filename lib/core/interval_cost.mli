@@ -23,9 +23,11 @@
     (Bigarray storage, element width chosen from the largest cell):
     zero-copy shareable across {!Hr_util.Pool} domains, invisible to
     the GC, lock-free O(1) reads.  It holds only the cells with
-    [lo <= hi]: m·n(n+1)/2 of them, task by task and row by row.  With
-    a {!Table_cache.t} the table also persists across processes,
-    addressed by the oracle's structural fingerprint. *)
+    [lo <= hi]: m·n(n+1)/2 of them, task by task and row by row.  A
+    {!Table_cache.t} persists it across processes: {!store} writes a
+    built table under a caller's key and {!of_cache} maps it back.
+    [Hr_check.Case.problem] is the one caller that does both, under
+    [Hr_check.Case.oracle_key]. *)
 
 (** How (and whether) the oracle caches [step_cost] queries — carried
     by the oracle so the solver telemetry can report cache behavior. *)
@@ -52,11 +54,6 @@ type t = {
       (** [step_cost j lo hi]: per-step reconfiguration cost of task [j]
           while its current hypercontext covers steps [lo..hi]. *)
   cache : cache;
-  fingerprint : string option;
-      (** structural hash of the oracle inputs (when the constructor can
-          derive one, e.g. {!of_task_set}): equal inputs have equal
-          fingerprints, so it addresses the persistent
-          {!Table_cache}. *)
 }
 
 (** A telemetry snapshot of the oracle's cache.  [kind] is ["direct"]
@@ -112,7 +109,7 @@ val cache_stats : t -> cache_stats
     [pool], tables of at least 2¹⁵ cells build on the shared
     {!Hr_util.Pool.default} and smaller ones stay sequential.  The
     table is elementwise identical either way.  The oracle arrives
-    dense, so {!precompute} only writes it back to a {!Table_cache}.
+    dense, so {!precompute} leaves it as it is.
 
     Under the sparse rung ([Sparse], or [Auto] above the budget) it
     builds one {!Occ_index} per task instead: O(n + requirement
@@ -124,9 +121,8 @@ val cache_stats : t -> cache_stats
     by {!precompute} (solvers query them through [step_cost] as-is).
 
     [max_bytes] (default {!default_max_bytes}) budgets the projected
-    dense footprint, m·n(n+1) bytes at the cheapest (16-bit) element
-    width.  Either way the oracle carries {!task_set_fingerprint}[ ts]
-    as its [fingerprint]. *)
+    dense footprint, {!projected_dense_bytes}[ ~bound:0]: m·n(n+1)
+    bytes at the cheapest (16-bit) element width. *)
 val of_task_set :
   ?pool:Hr_util.Pool.t -> ?policy:policy -> ?max_bytes:int -> Task_set.t -> t
 
@@ -136,34 +132,24 @@ val of_single :
   ?pool:Hr_util.Pool.t -> ?policy:policy -> ?max_bytes:int -> v:int -> Trace.t -> t
 
 (** [make ~m ~n ~v ~step_cost] builds a custom oracle (used by the DAG
-    and General models).  Custom oracles carry no [fingerprint], so
-    they never touch a {!Table_cache} (the cache cannot know what the
-    closure depends on); set one with a record update if the inputs
-    are content-addressable. *)
+    and General models). *)
 val make : m:int -> n:int -> v:int array -> step_cost:(int -> int -> int -> int) -> t
-
-(** [task_set_fingerprint ts] is the structural hash (hex MD5) of
-    everything the MT-Switch dense table is a function of: m, n, each
-    task's [v], local-space width, and every step requirement.  Equal
-    task sets hash equal; any change to any requirement changes the
-    hash.  This is the {!Table_cache} key used by {!of_task_set} /
-    {!precompute}. *)
-val task_set_fingerprint : Task_set.t -> string
 
 (** [of_weighted ~v ~weights ts] is the dense oracle of a weighted
     switch model: the same sweep as {!of_task_set}'s dense rung, but
     each cell sums [weights.(j).(x)] over the block union of task [j]
     instead of counting it.  Always dense, whatever the size (there is
-    no sparse weighted rung, so no byte budget applies); it carries no
-    [fingerprint] (the weights are not in {!task_set_fingerprint}).
-    {!Weighted} validates the weights. *)
+    no sparse weighted rung, so no byte budget applies).  {!Weighted}
+    validates the weights. *)
 val of_weighted : v:int array -> weights:int array array -> Task_set.t -> t
 
-(** [projected_dense_bytes ~m ~n] is m·n(n+1): the bytes of the dense
-    table of [m] tasks over [n] steps at the cheapest (16-bit) element
-    width — the figure {!of_task_set}'s [Auto] policy compares against
-    its [max_bytes]. *)
-val projected_dense_bytes : m:int -> n:int -> int
+(** [projected_dense_bytes ~bound ~m ~n] is the bytes of the dense
+    table of [m] tasks over [n] steps whose largest cell is [bound]:
+    m·n(n+1)/2 cells at the {!Flat_table} width that holds [bound].
+    At [~bound:0] it is m·n(n+1), the cheapest (16-bit) footprint —
+    the figure {!of_task_set}'s [Auto] policy compares against its
+    [max_bytes].  {!precompute} compares it at {!value_bound}. *)
+val projected_dense_bytes : bound:int -> m:int -> n:int -> int
 
 (** The default [max_bytes] of {!precompute}: 128 MiB, the same ceiling
     the previous 16M-cell ([int array]) default imposed, but now
@@ -177,7 +163,7 @@ val default_max_bytes : int
     the {!Flat_table} element width before a dense build. *)
 val value_bound : t -> int
 
-(** [precompute ?max_bytes ?cache ?pool t] materializes every
+(** [precompute ?max_bytes ?pool t] materializes every
     [step_cost j lo hi] with [lo <= hi] into the dense table, in
     O(m·n²) oracle calls — the same layout and build routine as
     {!of_task_set}'s dense rung.  Queries become lock-free O(1) reads of
@@ -194,28 +180,26 @@ val value_bound : t -> int
     When the table would exceed [max_bytes] (default
     {!default_max_bytes}) the oracle stays direct.
 
-    With [cache] and an oracle that carries a [fingerprint], a table
-    built this process (here or by a constructor) is written back to
-    the persistent store for the next process.  [precompute] never
-    reads the store: a caller with a warm store maps the table with
-    {!of_cache} before it builds anything, as {!Problem.of_task_set}
-    and [Hr_check.Case.problem] do.
+    Free on a dense or sparse oracle — {!Problem.make} calls it once
+    per instance and every registered solver then shares the same
+    table. *)
+val precompute : ?max_bytes:int -> ?pool:Hr_util.Pool.t -> t -> t
 
-    Free on a dense or sparse oracle apart from that write-back —
-    {!Problem.make} calls it once per instance and every registered
-    solver then shares the same table. *)
-val precompute :
-  ?max_bytes:int -> ?cache:Table_cache.t -> ?pool:Hr_util.Pool.t -> t -> t
+(** [store cache ~key t] writes [t]'s dense table to the persistent
+    store under [key] when this process built it.  An oracle without a
+    table (direct, sparse) or with a table mapped from a cache writes
+    nothing.  The caller asserts that [key] captures every input of
+    the table, as [Hr_check.Case.oracle_key] does. *)
+val store : Table_cache.t -> key:string -> t -> unit
 
 (** [of_cache cache ~key ~m ~n ~v] constructs a dense oracle directly
     from a persistent table, skipping the input-side construction
     entirely (for the switch model {!of_task_set} is O(m·n²) — the warm
     path must not pay it).  [None] on any cache miss; on a hit the
-    oracle's [step_cost] reads the mapped table and its
-    [fingerprint] is [key].  The caller asserts that [key] was
-    computed from the same inputs that determine [m], [n] and [v] —
-    e.g. {!Hr_check.Case.oracle_key} derives all four from the case
-    spec. *)
+    oracle's [step_cost] reads the mapped table.  The caller asserts
+    that [key] was computed from the same inputs that determine [m],
+    [n] and [v] — e.g. [Hr_check.Case.oracle_key] derives all four from
+    the case spec. *)
 val of_cache :
   Table_cache.t -> key:string -> m:int -> n:int -> v:int array -> t option
 

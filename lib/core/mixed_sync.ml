@@ -4,12 +4,6 @@ type mode =
   | Context_synchronized
   | Non_synchronized
 
-let mode_of_sync = function
-  | Sync.Fully_synchronized -> Fully_synchronized
-  | Sync.Hypercontext_synchronized -> Hypercontext_synchronized
-  | Sync.Context_synchronized -> Context_synchronized
-  | Sync.Non_synchronized -> Non_synchronized
-
 let eval ~mode ?(pub = 0) (oracle : Interval_cost.t) bp =
   if pub < 0 then invalid_arg "Mixed_sync.eval: negative pub";
   (match mode with

@@ -31,8 +31,6 @@ type mode =
   | Context_synchronized
   | Non_synchronized
 
-val mode_of_sync : Sync.sync_mode -> mode
-
 (** [eval ~mode ?pub oracle bp] is the total (hyper)reconfiguration
     time of plan [bp] under [mode], task-parallel uploads.  [pub]
     (public-global per-step cost) contributes to the reconfiguration

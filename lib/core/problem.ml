@@ -18,59 +18,34 @@ type t = {
   ext : extension option;
 }
 
-let validate_mode_params mode (params : Sync_cost.params) =
+let check_mode_params mode (params : Sync_cost.params) =
   match mode with
-  | Mixed_sync.Fully_synchronized -> ()
-  | _ ->
-      if params.Sync_cost.w <> 0 then
-        invalid_arg "Problem.make: nonzero w needs the fully synchronized mode";
-      if
-        params.Sync_cost.hyper <> Sync_cost.Task_parallel
-        || params.Sync_cost.reconf <> Sync_cost.Task_parallel
-      then
-        invalid_arg
-          "Problem.make: sequential uploads need the fully synchronized mode";
-      if params.Sync_cost.pub <> 0 && mode <> Mixed_sync.Context_synchronized then
-        invalid_arg
-          "Problem.make: pub > 0 needs context or full synchronization"
+  | Mixed_sync.Fully_synchronized -> Ok ()
+  | _ when params.Sync_cost.w <> 0 ->
+      Error "nonzero w needs the fully synchronized mode"
+  | _
+    when params.Sync_cost.hyper <> Sync_cost.Task_parallel
+         || params.Sync_cost.reconf <> Sync_cost.Task_parallel ->
+      Error "sequential uploads need the fully synchronized mode"
+  | _ when params.Sync_cost.pub <> 0 && mode <> Mixed_sync.Context_synchronized ->
+      Error "pub > 0 needs context or full synchronization"
+  | _ -> Ok ()
 
 let make ?(params = Sync_cost.default_params)
     ?(mode = Mixed_sync.Fully_synchronized) ?(machine_class = Partial)
-    ?(precompute = true) ?max_bytes ?cache_dir ?cache_key ?pool ?ext oracle =
-  validate_mode_params mode params;
-  let oracle =
-    match cache_key with
-    | Some key -> { oracle with Interval_cost.fingerprint = Some key }
-    | None -> oracle
-  in
-  let cache = Option.map Table_cache.of_dir cache_dir in
-  let oracle =
-    if precompute then Interval_cost.precompute ?max_bytes ?cache ?pool oracle
-    else oracle
-  in
+    ?(precompute = true) ?max_bytes ?ext oracle =
+  (match check_mode_params mode params with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Problem.make: " ^ msg));
+  let oracle = if precompute then Interval_cost.precompute ?max_bytes oracle else oracle in
   { oracle; params; mode; machine_class; ext }
 
 let plain t = Option.is_none t.ext
 let with_ext t ext = { t with ext = Some ext }
 let without_ext t = { t with ext = None }
 
-let of_task_set ?params ?mode ?machine_class ?oracle ?max_bytes ?cache_dir ?pool
-    ts =
-  let mk = make ?params ?mode ?machine_class ?max_bytes ?pool in
-  (* The constructor builds the dense table, so a stored one has to be
-     looked up before it; the cold build is written back by [make]. *)
-  let stored =
-    match (cache_dir, oracle) with
-    | None, _ | _, Some Interval_cost.Sparse -> None
-    | Some dir, _ ->
-        Interval_cost.of_cache (Table_cache.of_dir dir)
-          ~key:(Interval_cost.task_set_fingerprint ts)
-          ~m:(Task_set.num_tasks ts) ~n:(Task_set.steps ts)
-          ~v:(Array.map (fun task -> task.Task_set.v) (Task_set.tasks ts))
-  in
-  match stored with
-  | Some o -> mk o
-  | None -> mk ?cache_dir (Interval_cost.of_task_set ?pool ?policy:oracle ?max_bytes ts)
+let of_task_set ?params ?mode ?machine_class ts =
+  make ?params ?mode ?machine_class (Interval_cost.of_task_set ts)
 
 let of_trace ?v ?params trace =
   let v = match v with Some v -> v | None -> Switch_space.size (Trace.space trace) in

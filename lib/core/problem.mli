@@ -13,11 +13,14 @@
     - the machine class restricts the admissible breakpoint matrices;
     - the synchronization mode selects the objective evaluator
       ({!Sync_cost.eval} or {!Mixed_sync.eval});
-    - {!Sync_cost.params} carries [w], [pub] and the upload modes.
+    - {!Sync_cost.params} carries [w], [pub] and the upload modes;
+      {!check_mode_params} says which of them each mode can price.
 
     [make] runs {!Interval_cost.precompute} once, so every solver that
     touches the problem — including several racing in parallel —
-    shares the same lock-free dense oracle table. *)
+    shares the same lock-free dense oracle table.  [make] never reads
+    or writes the persistent {!Table_cache}: [Hr_check.Case.problem],
+    the one path from a case document to a [Problem.t], does both. *)
 
 (** The §3 machine classes.  [All_task] admits only uniform-column
     matrices (hyperreconfigure all tasks or none); [Partial] is
@@ -58,37 +61,32 @@ type t = {
   ext : extension option;  (** joint-cost extension, [None] = base PHC *)
 }
 
-(** [make ?params ?mode ?machine_class ?precompute ?max_bytes
-    ?cache_dir ?cache_key ?pool oracle].  Defaults:
-    {!Sync_cost.default_params}, [Fully_synchronized], [Partial],
-    [precompute = true].  [pool] is handed to
-    {!Interval_cost.precompute} so large oracle builds run on a caller
-    pool instead of the shared default.
+(** [check_mode_params mode params] is the one statement of §3's
+    rules on which parameters a synchronization mode can price:
+    outside the fully synchronized mode [w] must be 0 and both uploads
+    task-parallel, and [pub > 0] additionally needs the
+    context-synchronized mode.  [Error msg] names the first rule the
+    pair breaks.  {!make} enforces it, and [Hr_check.Case.of_json]
+    reports it for a case document. *)
+val check_mode_params : Mixed_sync.mode -> Sync_cost.params -> (unit, string) result
 
+(** [make ?params ?mode ?machine_class ?precompute ?max_bytes ?ext
+    oracle].  Defaults: {!Sync_cost.default_params},
+    [Fully_synchronized], [Partial], [precompute = true], no extension.
     [max_bytes] caps the dense-table memory (default
     {!Interval_cost.default_max_bytes}); an over-budget custom oracle
-    stays direct.  [cache_dir] names a persistent {!Table_cache}
-    directory that a dense table built for this instance is stored
-    into.  [make] does not look the table up: a caller with a warm
-    directory maps it first with {!Interval_cost.of_cache} and passes
-    the mapped oracle, as {!of_task_set} does.  The cache key is the
-    oracle's own structural [fingerprint]; [cache_key] overrides it for
-    oracles whose constructor could not derive one (the caller then
-    asserts the key captures every input).
+    stays direct.  An oracle that arrives dense or sparse — a switch
+    task set, or a table mapped with {!Interval_cost.of_cache} — is
+    used as it is.
 
-    Raises [Invalid_argument] when a non-fully-synchronized mode is
-    combined with parameters {!Mixed_sync} cannot evaluate (nonzero
-    [w], sequential uploads, or [pub > 0] outside the
-    context-synchronized and fully synchronized modes). *)
+    Raises [Invalid_argument ("Problem.make: " ^ msg)] when
+    {!check_mode_params} returns [Error msg]. *)
 val make :
   ?params:Sync_cost.params ->
   ?mode:Mixed_sync.mode ->
   ?machine_class:machine_class ->
   ?precompute:bool ->
   ?max_bytes:int ->
-  ?cache_dir:string ->
-  ?cache_key:string ->
-  ?pool:Hr_util.Pool.t ->
   ?ext:extension ->
   Interval_cost.t ->
   t
@@ -107,24 +105,13 @@ val with_ext : t -> extension -> t
 
 val without_ext : t -> t
 
-(** [of_task_set ?params ?mode ?machine_class ?oracle ?max_bytes
-    ?cache_dir ?pool ts] — the MT-Switch instance of a task set;
-    [pool] parallelizes the dense-table build; [max_bytes]/[cache_dir]
-    as in {!make} (the cache key is
-    {!Interval_cost.task_set_fingerprint}, and a stored table is mapped
-    instead of built).  [oracle] picks the rung of the oracle ladder
-    (see {!Interval_cost.policy}): [Auto] (the default) builds the
-    dense table while it fits [max_bytes] and the sparse {!Occ_index}
-    above it; a sparse oracle is never densified
-    and is solved through [step_cost] queries. *)
+(** [of_task_set ?params ?mode ?machine_class ts] — the MT-Switch
+    instance of a task set, on {!Interval_cost.of_task_set}'s default
+    ([Auto]) rung. *)
 val of_task_set :
   ?params:Sync_cost.params ->
   ?mode:Mixed_sync.mode ->
   ?machine_class:machine_class ->
-  ?oracle:Interval_cost.policy ->
-  ?max_bytes:int ->
-  ?cache_dir:string ->
-  ?pool:Hr_util.Pool.t ->
   Task_set.t ->
   t
 

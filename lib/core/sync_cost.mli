@@ -44,8 +44,8 @@ val default_params : params
     Task-sequential reconfiguration upload needs no per-step state;
     task-parallel upload keeps the per-step maxima in one n-int scratch
     array, allocated per call.  The kernel shares no state between
-    calls, so several domains may price plans concurrently (as
-    [Ga.config.domains > 1] does).  It equals [w] plus the sum of
+    calls, so several domains may price plans concurrently (as the
+    contestants of a {!Solver.race} do).  It equals [w] plus the sum of
     {!eval_per_step}, the step-by-step reference, exactly. *)
 val eval : ?params:params -> Interval_cost.t -> Breakpoints.t -> int
 

@@ -6,11 +6,12 @@
     disk once and reloaded — across batches, server restarts and bench
     runs — instead of being rebuilt.  A [Table_cache.t] is a directory
     of table files addressed by a {e structural hash of the oracle
-    inputs} (the oracle's fingerprint, e.g.
-    {!Interval_cost.task_set_fingerprint}, or a caller key such as
-    {!Hr_check.Case.oracle_key}): equal inputs produce equal keys
-    produce one shared file; any input change changes the key, so
-    entries are immutable and never logically stale.
+    inputs}: [Hr_check.Case.oracle_key], the digest of a case's
+    canonical oracle spec.  Equal inputs produce equal keys produce one
+    shared file; any input change changes the key, so entries are
+    immutable and never logically stale.  [Hr_check.Case.problem] is
+    the one reader and writer, through {!Interval_cost.of_cache} and
+    {!Interval_cost.store}.
 
     {b Layout.}  One file per entry, [<dir>/<key>.tbl]: a fixed 64-byte
     header (magic + format version, element width, host endianness,

@@ -14,7 +14,6 @@ type config = {
   elitism : int;
   crossover_rate : float;
   patience : int option;
-  domains : int;
 }
 
 let default_config =
@@ -25,7 +24,6 @@ let default_config =
     elitism = 2;
     crossover_rate = 0.9;
     patience = None;
-    domains = 1;
   }
 
 type 'g result = {
@@ -45,16 +43,9 @@ let run ?(config = default_config) ?(seeds = [])
   if config.elitism < 0 || config.elitism >= config.population then
     invalid_arg "Ga.run: elitism out of range";
   let evaluations = ref 0 in
-  (* Genomes are produced sequentially (RNG order is part of the
-     result's determinism); only the pure cost function runs on
-     multiple domains. *)
   let eval_batch genomes =
     evaluations := !evaluations + Array.length genomes;
-    let scores =
-      if config.domains <= 1 then Array.map problem.cost genomes
-      else Hr_util.Par.map_array ~domains:config.domains problem.cost genomes
-    in
-    Array.map2 (fun genome score -> { genome; score }) genomes scores
+    Array.map (fun genome -> { genome; score = problem.cost genome }) genomes
   in
   let initial =
     let seeds = List.filteri (fun i _ -> i < config.population) seeds in

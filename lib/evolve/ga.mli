@@ -25,10 +25,6 @@ type config = {
   crossover_rate : float;  (** probability of crossover vs. cloning a parent *)
   patience : int option;
       (** stop early after this many generations without improvement *)
-  domains : int;
-      (** worker domains for cost evaluation (1 = sequential).  Genomes
-          are always produced sequentially, so the result is identical
-          for every [domains] value; [cost] must be pure to use > 1. *)
 }
 
 val default_config : config

@@ -1,17 +1,5 @@
 let num_domains = Pool.num_domains
 
-let map_array ?domains f arr =
-  let n = Array.length arr in
-  let workers = Option.value domains ~default:(num_domains ()) in
-  if n = 0 then [||]
-  else if workers <= 1 || n < 4 then Array.map f arr
-  else
-    (* One chunk per requested worker on the shared persistent pool:
-       domain startup was paid once at pool creation, not here.  The
-       caller claims chunks alongside the pool workers, so no
-       application of [f] is serialized ahead of the others. *)
-    Pool.map ~chunks:(min workers n) (Pool.default ()) f arr
-
 let iter_chunks ?domains f n =
   let workers = min (Option.value domains ~default:(num_domains ())) (max 1 n) in
   if n <= 0 then ()

@@ -1,31 +1,13 @@
 (** Minimal multicore helpers (OCaml 5 domains).
 
-    The optimizers' fitness evaluations are pure, so they parallelize
-    embarrassingly; this module provides a deterministic parallel map —
-    the result is elementwise identical to the sequential map, whatever
-    the scheduling.
-
-    Since the {!Pool} rebase these helpers run on the shared persistent
-    worker pool ({!Pool.default}): domains are spawned once per process,
-    not once per call, so a serving loop can issue thousands of parallel
-    maps per second without paying [Domain.spawn] each time. *)
+    These helpers run on the shared persistent worker pool
+    ({!Pool.default}): domains are spawned once per process, not once
+    per call, so a serving loop can issue thousands of parallel calls
+    per second without paying [Domain.spawn] each time. *)
 
 (** [num_domains ()] is the recommended worker count
     ([Domain.recommended_domain_count], at least 1). *)
 val num_domains : unit -> int
-
-(** [map_array ?domains f arr] maps [f] over [arr] using up to
-    [domains] chunks (default {!num_domains}) on the shared
-    {!Pool.default}.  Falls back to the plain sequential map for
-    [domains <= 1] or short arrays.  [f] must be pure/thread-safe: it
-    runs concurrently on several domains.  In the parallel regime [f]
-    is applied exactly once per element; all chunks are enqueued before
-    any is claimed, and the caller then works alongside the pool
-    ({!Pool.map}'s caller-helps rule), so no element is serialized
-    ahead of the workers.  Exceptions raised by [f] are re-raised in
-    the caller exactly once — the lowest failing index, as in the
-    sequential map. *)
-val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 
 (** [iter_chunks ?domains f n] runs [f lo hi] over a partition of
     [0..n-1] into contiguous chunks, in parallel on {!Pool.default}. *)

@@ -74,7 +74,7 @@ let default () =
   | Some t when not (is_stopped t) -> t
   | _ ->
       (* First use, or someone shut the shared pool down: a stopped
-         pool would silently degrade every Par.map_array to caller-side
+         pool would silently degrade every parallel map to caller-side
          sequential execution, so recreate instead of memoizing it
          forever. *)
       let t = create () in

@@ -48,7 +48,8 @@ val is_stopped : t -> bool
 
 (** [default ()] is the shared process-wide pool, created on first use
     with {!num_domains} workers and shut down automatically at exit.
-    {!Par.map_array} and {!Par.iter_chunks} run on it.  If the shared
+    {!Par.iter_chunks}, the solver race and the dense-table builds run
+    on it.  If the shared
     pool has been shut down, a fresh one is created (and registered for
     shutdown at exit) rather than returning the stopped instance —
     otherwise every later parallel map would silently run

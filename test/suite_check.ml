@@ -81,6 +81,72 @@ let qcheck_case_json_roundtrip =
       | Ok reloaded -> reloaded = case
       | Error _ -> false)
 
+(* One rule set: for every mode, w, pub and pair of upload modes,
+   Problem.make raises exactly when check_mode_params says Error, with
+   its message, and Case.of_json returns the same message. *)
+let test_mode_rules_agree () =
+  let oracle = Interval_cost.of_task_set (Tutil.sample_task_set ()) in
+  let base = Gen.case (Rng.create 1) in
+  let uploads = [ Sync_cost.Task_parallel; Sync_cost.Task_sequential ] in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun (w, pub, hyper, reconf) ->
+          let params = { Sync_cost.w; pub; hyper; reconf } in
+          let label =
+            Format.asprintf "%a w=%d pub=%d %s/%s" Mixed_sync.pp_mode mode w pub
+              (if hyper = Sync_cost.Task_parallel then "par" else "seq")
+              (if reconf = Sync_cost.Task_parallel then "par" else "seq")
+          in
+          let expected_ok =
+            mode = Mixed_sync.Fully_synchronized
+            || w = 0
+               && hyper = Sync_cost.Task_parallel
+               && reconf = Sync_cost.Task_parallel
+               && (pub = 0 || mode = Mixed_sync.Context_synchronized)
+          in
+          let rule = Problem.check_mode_params mode params in
+          check bool (label ^ ": rule") expected_ok (Result.is_ok rule);
+          let made =
+            match Problem.make ~params ~mode oracle with
+            | _ -> Ok ()
+            | exception Invalid_argument msg -> Error msg
+          in
+          check
+            Alcotest.(result unit string)
+            (label ^ ": Problem.make")
+            (Result.map_error (fun msg -> "Problem.make: " ^ msg) rule)
+            made;
+          let parsed =
+            Result.map ignore (Case.of_json (Case.to_json { base with Case.params; mode }))
+          in
+          check Alcotest.(result unit string) (label ^ ": Case.of_json") rule parsed)
+        (List.concat_map
+           (fun w ->
+             List.concat_map
+               (fun pub ->
+                 List.concat_map
+                   (fun hyper -> List.map (fun reconf -> (w, pub, hyper, reconf)) uploads)
+                   uploads)
+               [ 0; 1 ])
+           [ 0; 1 ]))
+    [
+      Mixed_sync.Fully_synchronized;
+      Mixed_sync.Hypercontext_synchronized;
+      Mixed_sync.Context_synchronized;
+      Mixed_sync.Non_synchronized;
+    ]
+
+(* Gen draws its parameters by its own logic; they must pass the rules
+   every Problem is built under. *)
+let qcheck_gen_passes_mode_rules =
+  Tutil.prop "Gen cases pass check_mode_params"
+    QCheck2.Gen.(int_bound 100_000)
+    string_of_int
+    (fun seed ->
+      let case = Gen.case (Rng.create seed) in
+      Problem.check_mode_params case.Case.mode case.Case.params = Ok ())
+
 let test_case_schema_tag () =
   (* Regression: an [open Telemetry] once shadowed the case schema
      constant, silently tagging corpus files as telemetry documents. *)
@@ -328,6 +394,9 @@ let tests =
     Alcotest.test_case "generator covers the product space" `Quick
       test_generator_covers_the_product_space;
     qcheck_case_json_roundtrip;
+    Alcotest.test_case "one mode/params rule set" `Quick
+      test_mode_rules_agree;
+    qcheck_gen_passes_mode_rules;
     Alcotest.test_case "case schema tag" `Quick test_case_schema_tag;
     Alcotest.test_case "case parse errors" `Quick test_case_of_string_errors;
     Alcotest.test_case "shrink candidates stay valid" `Quick

@@ -1,5 +1,5 @@
 (* Mixed_sync modes, Online policies, Descriptor encodings, Timeline,
-   Par. *)
+   the GA on pool domains. *)
 
 open Hr_core
 module Bitset = Hr_util.Bitset
@@ -215,40 +215,26 @@ let test_timeline_render_smoke () =
   Alcotest.(check bool) "mentions utilization" true
     (Astring.String.is_infix ~affix:"utilization" s)
 
-(* ---- Par ---- *)
+(* ---- GA on pool domains ---- *)
 
-let test_par_map_matches_sequential () =
-  let arr = Array.init 1000 Fun.id in
-  let f x = (x * 37) mod 101 in
-  Alcotest.(check (array int)) "same results" (Array.map f arr)
-    (Hr_util.Par.map_array ~domains:4 f arr);
-  Alcotest.(check (array int)) "domains=1" (Array.map f arr)
-    (Hr_util.Par.map_array ~domains:1 f arr)
-
-let test_par_map_empty_and_small () =
-  Alcotest.(check (array int)) "empty" [||] (Hr_util.Par.map_array ~domains:4 succ [||]);
-  Alcotest.(check (array int)) "short" [| 2; 3 |]
-    (Hr_util.Par.map_array ~domains:4 succ [| 1; 2 |])
-
-let test_par_propagates_exception () =
-  match
-    Hr_util.Par.map_array ~domains:3
-      (fun x -> if x = 500 then failwith "boom" else x)
-      (Array.init 1000 Fun.id)
-  with
-  | exception Failure msg -> check Alcotest.string "message" "boom" msg
-  | _ -> Alcotest.fail "exception swallowed"
-
+(* A race runs each contestant on its own pool domain.  The GA draws
+   only from its own RNG, so runs on concurrent domains equal the
+   sequential ones. *)
 let test_parallel_ga_deterministic () =
-  let ts = Tutil.sample_task_set () in
-  let oracle = Interval_cost.of_task_set ts in
-  let config domains =
-    { Hr_evolve.Ga.default_config with Hr_evolve.Ga.generations = 25; population = 12; domains }
+  let oracle = Interval_cost.of_task_set (Tutil.sample_task_set ()) in
+  let config =
+    { Hr_evolve.Ga.default_config with Hr_evolve.Ga.generations = 25; population = 12 }
   in
-  let a = Mt_ga.solve ~config:(config 1) ~rng:(Rng.create 8) oracle in
-  let b = Mt_ga.solve ~config:(config 4) ~rng:(Rng.create 8) oracle in
-  check int "same cost" a.Mt_ga.cost b.Mt_ga.cost;
-  Alcotest.(check bool) "same plan" true (Breakpoints.equal a.Mt_ga.bp b.Mt_ga.bp)
+  let run seed = Mt_ga.solve ~config ~rng:(Rng.create seed) oracle in
+  let seeds = Array.init 4 (fun k -> 8 + k) in
+  let sequential = Array.map run seeds in
+  let pooled = Hr_util.Pool.map ~chunks:4 (Hr_util.Pool.default ()) run seeds in
+  Array.iteri
+    (fun k a ->
+      let b = pooled.(k) in
+      check int "same cost" a.Mt_ga.cost b.Mt_ga.cost;
+      Alcotest.(check bool) "same plan" true (Breakpoints.equal a.Mt_ga.bp b.Mt_ga.bp))
+    sequential
 
 let tests =
   [
@@ -268,8 +254,5 @@ let tests =
     Alcotest.test_case "bitmap = constant w" `Quick test_bitmap_plan_equals_constant_w;
     Alcotest.test_case "timeline consistency" `Quick test_timeline_consistency;
     Alcotest.test_case "timeline render" `Quick test_timeline_render_smoke;
-    Alcotest.test_case "par map" `Quick test_par_map_matches_sequential;
-    Alcotest.test_case "par edge cases" `Quick test_par_map_empty_and_small;
-    Alcotest.test_case "par exceptions" `Quick test_par_propagates_exception;
     Alcotest.test_case "parallel ga deterministic" `Quick test_parallel_ga_deterministic;
   ]

@@ -459,23 +459,6 @@ let test_race_gives_each_contestant_its_own_claim () =
   check bool "pooled reports = sequential reports, wall_ms aside" true
     (strip pooled = strip sequential)
 
-let test_map_array_applies_f_once_per_index () =
-  let n = 9 in
-  let counts = Array.init n (fun _ -> Atomic.make 0) in
-  let out =
-    Hr_util.Par.map_array ~domains:3
-      (fun i ->
-        Atomic.incr counts.(i);
-        i * i)
-      (Array.init n Fun.id)
-  in
-  Array.iteri
-    (fun i c ->
-      check int (Printf.sprintf "f applied exactly once to index %d" i) 1
-        (Atomic.get c))
-    counts;
-  Array.iteri (fun i y -> check int "result" (i * i) y) out
-
 let test_deadline_cutoff_returns_admissible_best_so_far () =
   let problem = sample_problem () in
   List.iter
@@ -748,8 +731,6 @@ let tests =
       test_race_surfaces_crash_and_still_wins;
     Alcotest.test_case "race gives each contestant its own claim" `Quick
       test_race_gives_each_contestant_its_own_claim;
-    Alcotest.test_case "Par.map_array applies f once per index" `Quick
-      test_map_array_applies_f_once_per_index;
     Alcotest.test_case "deadline cut-off stays admissible" `Quick
       test_deadline_cutoff_returns_admissible_best_so_far;
     Alcotest.test_case "telemetry JSON shape" `Quick test_telemetry_json_shape;

@@ -238,12 +238,17 @@ let test_version_stale () =
 (* A file from format version 1 — the square m·n² layout under the
    magic "HRTBL001", otherwise well-formed — sits under the key a
    current build uses: it must count as invalid and be rebuilt. *)
+let load_case name =
+  match Hr_check.Corpus.load_file ("corpus/" ^ name ^ ".json") with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "corpus %s: %s" name e
+
 let test_format_1_rebuilt () =
   with_cache_dir (fun dir ->
-      let ts = Tutil.sample_task_set () in
-      let m = Task_set.num_tasks ts and n = Task_set.steps ts in
+      let case = load_case "all-task-globals" in
+      let m = Hr_check.Case.m case and n = Hr_check.Case.n case in
       let cache = Table_cache.of_dir dir in
-      let path = Table_cache.file cache ~key:(Interval_cost.task_set_fingerprint ts) in
+      let path = Table_cache.file cache ~key:(Hr_check.Case.oracle_key case) in
       let payload = String.make (m * n * n * 2) '\000' in
       let hdr = Bytes.make 64 '\000' in
       Bytes.blit_string "HRTBL001" 0 hdr 0 8;
@@ -255,7 +260,7 @@ let test_format_1_rebuilt () =
           Out_channel.output_bytes oc hdr;
           Out_channel.output_string oc payload);
       let source () =
-        (Interval_cost.cache_stats (Problem.of_task_set ~cache_dir:dir ts).Problem.oracle)
+        (Interval_cost.cache_stats (Hr_check.Case.problem ~cache_dir:dir case).Problem.oracle)
           .Interval_cost.source
       in
       check Alcotest.string "format-1 file is rebuilt" "built" (source ());
@@ -305,14 +310,32 @@ let test_concurrent_writers () =
 (* ------------------------------------------------------------------ *)
 (* The cached problem path. *)
 
+(* Problem.make takes an oracle mapped from a cache directory as it
+   is: the table a cold build stored under a key comes back as an mmap,
+   and both problems solve alike.  Storing the mapped oracle again
+   writes nothing. *)
 let test_problem_cache_dir () =
   with_cache_dir (fun dir ->
+      let cache = Table_cache.of_dir dir in
       let ts = Tutil.sample_task_set () in
-      let cold = Problem.of_task_set ~cache_dir:dir ts in
+      let m = Task_set.num_tasks ts and n = Task_set.steps ts in
+      let cold = Problem.of_task_set ts in
+      Interval_cost.store cache ~key:"sample" cold.Problem.oracle;
+      let mapped =
+        match
+          Interval_cost.of_cache cache ~key:"sample" ~m ~n
+            ~v:cold.Problem.oracle.Interval_cost.v
+        with
+        | Some o -> o
+        | None -> Alcotest.fail "stored table does not load"
+      in
+      let warm = Problem.make mapped in
+      Interval_cost.store cache ~key:"sample" warm.Problem.oracle;
+      check Alcotest.int "one store: a mapped table is not written back" 1
+        (Table_cache.stats cache).Table_cache.stores;
       let cold_stats = Interval_cost.cache_stats cold.Problem.oracle in
       check Alcotest.string "cold build computes" "built"
         cold_stats.Interval_cost.source;
-      let warm = Problem.of_task_set ~cache_dir:dir ts in
       let warm_stats = Interval_cost.cache_stats warm.Problem.oracle in
       check Alcotest.string "warm build maps the file" "mmap"
         warm_stats.Interval_cost.source;
@@ -357,7 +380,10 @@ let test_case_warm_path () =
 (* Case.problem hands max_table_bytes to the switch constructor, so an
    over-cap switch case gets the sparse index, cold or through a cache
    directory (which then stores nothing); a weighted table has no sparse
-   form and is built whatever the cap. *)
+   form and is built whatever the cap.  A warm directory changes none of
+   that: a table stored by an uncapped build is not mapped past the cap,
+   so for every case and cap the warm build ends on the cold build's
+   rung. *)
 let test_case_max_table_bytes () =
   let reqs = [| [ [ 0 ]; [ 1 ]; [ 0; 1 ] ]; [ [ 2 ]; []; [ 0 ] ] |] in
   let case spec =
@@ -373,10 +399,12 @@ let test_case_max_table_bytes () =
   let weighted =
     case (Weighted { widths = [| 2; 3 |]; reqs; weights = [| [| 1; 2 |]; [| 1; 1; 3 |] |] })
   in
+  let stats ?cache_dir ?max_table_bytes c =
+    Interval_cost.cache_stats
+      (Hr_check.Case.problem ?max_table_bytes ?cache_dir c).Problem.oracle
+  in
   let kind ?cache_dir ?max_table_bytes c =
-    (Interval_cost.cache_stats
-       (Hr_check.Case.problem ?max_table_bytes ?cache_dir c).Problem.oracle)
-      .Interval_cost.kind
+    (stats ?cache_dir ?max_table_bytes c).Interval_cost.kind
   in
   check Alcotest.string "switch within the cap -> dense" "dense" (kind switch);
   check Alcotest.string "switch over the cap -> sparse" "sparse"
@@ -387,17 +415,43 @@ let test_case_max_table_bytes () =
       check Alcotest.string "switch over the cap, cache dir -> sparse" "sparse"
         (kind ~cache_dir:dir ~max_table_bytes:8 switch);
       check Alcotest.int "nothing stored" 0
-        (Table_cache.stats (Table_cache.of_dir dir)).Table_cache.stores)
+        (Table_cache.stats (Table_cache.of_dir dir)).Table_cache.stores);
+  (* A DAG whose widest block needs the 70000-cost node: a 32-bit table,
+     twice its 16-bit projection. *)
+  let wide_dag =
+    case
+      (Dag { num_contexts = 2; w = 1; costs = [| 1; 70_000 |]; sat_sizes = [| 1; 2 |]; seq = [| 0; 1; 0 |] })
+  in
+  let cases =
+    [ ("switch", switch); ("weighted", weighted); ("32-bit dag", wide_dag) ]
+    @ List.map (fun name -> (name, load_case name)) [ "dag-chain"; "single-step" ]
+  in
+  with_cache_dir (fun dir ->
+      List.iter
+        (fun (name, c) ->
+          let stored = stats ~cache_dir:dir c in
+          let bytes = stored.Interval_cost.bytes_resident in
+          check Alcotest.string (name ^ ": the uncapped table is dense") "dense"
+            stored.Interval_cost.kind;
+          List.iter
+            (fun cap ->
+              let cold = stats ~max_table_bytes:cap c in
+              let warm = stats ~cache_dir:dir ~max_table_bytes:cap c in
+              check Alcotest.string
+                (Printf.sprintf "%s cap %d: warm rung = cold rung" name cap)
+                cold.Interval_cost.kind warm.Interval_cost.kind;
+              if warm.Interval_cost.kind = "dense" then
+                check Alcotest.string
+                  (Printf.sprintf "%s cap %d: a dense warm build maps" name cap)
+                  "mmap" warm.Interval_cost.source)
+            [ 8; bytes - 1; bytes ])
+        cases)
 
 (* A cold keyed build looks the store up once: a DAG oracle is built
-   by [precompute], which only writes the table back. *)
+   by [precompute], which never reads the store. *)
 let test_case_one_lookup_per_build () =
   with_cache_dir (fun dir ->
-      let case =
-        match Hr_check.Corpus.load_file "corpus/dag-chain.json" with
-        | Ok c -> c
-        | Error e -> Alcotest.failf "corpus dag-chain: %s" e
-      in
+      let case = load_case "dag-chain" in
       let stats () = Table_cache.stats (Table_cache.of_dir dir) in
       ignore (Hr_check.Case.problem ~cache_dir:dir case);
       let cold = stats () in

@@ -302,22 +302,6 @@ let test_pool_map_matches_sequential () =
             [ 0; 1; 2; 3; 7; 64; 1000 ]))
     [ 1; 2; 4 ]
 
-let test_par_map_matches_sequential () =
-  let rng = Rng.create 7919 in
-  List.iter
-    (fun domains ->
-      List.iter
-        (fun n ->
-          let seed = Rng.int rng 1_000_000 in
-          let arr = Array.init n (fun i -> seed + i) in
-          let f x = x * 17 mod 1009 in
-          Alcotest.(check (array int))
-            (Printf.sprintf "domains=%d n=%d" domains n)
-            (Array.map f arr)
-            (Hr_util.Par.map_array ~domains f arr))
-        [ 0; 1; 5; 128; 513 ])
-    [ 1; 2; 8 ]
-
 exception Boom of int
 
 let test_pool_map_exception_once () =
@@ -462,7 +446,6 @@ let tests =
     Alcotest.test_case "tablefmt alignment" `Quick test_tablefmt_alignment;
     Alcotest.test_case "tablefmt arity" `Quick test_tablefmt_arity_check;
     Alcotest.test_case "pool map = sequential" `Quick test_pool_map_matches_sequential;
-    Alcotest.test_case "par map = sequential" `Quick test_par_map_matches_sequential;
     Alcotest.test_case "pool exn raised once" `Quick test_pool_map_exception_once;
     Alcotest.test_case "pool survives failure" `Quick test_pool_survives_failure;
     Alcotest.test_case "pool nested map" `Quick test_pool_nested_map;

@@ -16,7 +16,6 @@ let () =
       ("moves", Suite_moves.tests);
       ("modes", Suite_modes.tests);
       ("priv", Suite_priv.tests);
-      ("sync_rules", Suite_sync_rules.tests);
       ("evolve", Suite_evolve.tests);
       ("workload", Suite_workload.tests);
       ("viz", Suite_viz.tests);
