@@ -1,13 +1,15 @@
 (* DP-engine benchmark: the flat-state Mt_dp engine against the
-   original list-of-records engine it replaced, plus the pooled dense
-   oracle build against a forced-sequential build.
+   original list-of-records engine it replaced, plus the dense oracle
+   builds: the switch model's next-occurrence sweep, and precompute's
+   pooled row fill of a custom oracle against a forced-sequential one.
 
    `dune exec bench/dp_bench.exe -- [--seed S] [--out FILE]` solves one
    pinned exact workload with both engines, cross-checks that their
    answers are bit-identical (cost, plan, states explored — the flat
    engine is a representation change, not an algorithm change), and
    writes a hyperreconf.bench/1 JSON summary (default BENCH_dp.json).
-   Exits non-zero when the engines disagree. *)
+   Exits non-zero when the engines disagree or the swept table differs
+   from the precomputed one in any cell. *)
 
 module Budget = Hr_util.Budget
 module Pool = Hr_util.Pool
@@ -248,11 +250,20 @@ let () =
   let per_s states ms = 1000. *. float_of_int states /. ms in
   let dp_speedup = ref_ms /. flat_ms in
 
-  (* --- pooled vs sequential oracle build ---------------------------- *)
+  (* --- oracle build: the switch sweep, and precompute's pooled vs
+     sequential row fill ------------------------------------------------ *)
   let ots = W.Multi_gen.independent (Rng.create (seed + 1)) oracle_spec in
-  let build pool () =
-    Interval_cost.precompute ~pool (Interval_cost.of_task_set ~pool ots)
+  let swept, sweep_ms = time_best ~reps:3 (fun () -> Interval_cost.of_task_set ots) in
+  (* A switch task set arrives dense from the sweep, so precompute's
+     row fill is timed on a direct oracle over the sparse rung's
+     step_cost: the custom-oracle path (DAG, General) that still fills
+     cell by cell. *)
+  let sparse = Interval_cost.of_task_set ~policy:Interval_cost.Sparse ots in
+  let direct () =
+    Interval_cost.make ~m:sparse.Interval_cost.m ~n:sparse.Interval_cost.n
+      ~v:sparse.Interval_cost.v ~step_cost:sparse.Interval_cost.step_cost
   in
+  let build pool () = Interval_cost.precompute ~pool (direct ()) in
   (* A shut-down pool runs everything caller-side — the documented
      degraded mode — which forces a sequential build without a separate
      code path. *)
@@ -264,6 +275,21 @@ let () =
   let pooled_oracle, pooled_ms = time_best ~reps:2 (build live) in
   let stats = Interval_cost.cache_stats pooled_oracle in
   let build_speedup = seq_ms /. pooled_ms in
+  let sweep_equal =
+    let m = swept.Interval_cost.m and n = swept.Interval_cost.n in
+    let ok = ref true in
+    for j = 0 to m - 1 do
+      for lo = 0 to n - 1 do
+        for hi = lo to n - 1 do
+          if
+            swept.Interval_cost.step_cost j lo hi
+            <> pooled_oracle.Interval_cost.step_cost j lo hi
+          then ok := false
+        done
+      done
+    done;
+    !ok
+  in
 
   (* --- persistent table cache: cold build+store vs warm mmap load --- *)
   let cache_dir =
@@ -395,6 +421,8 @@ let () =
               ("m", Telemetry.Int oracle_spec.W.Multi_gen.m);
               ("n", Telemetry.Int oracle_spec.W.Multi_gen.n);
               ("cells", Telemetry.Int stats.Interval_cost.cells);
+              ("sweep_ms", Telemetry.Float sweep_ms);
+              ("sweep_equal", Telemetry.Bool sweep_equal);
               ("sequential_ms", Telemetry.Float seq_ms);
               ("pooled_ms", Telemetry.Float pooled_ms);
               ("speedup", Telemetry.Float build_speedup);
@@ -453,15 +481,16 @@ let () =
   Printf.printf
     "dp-engine: m=%d n=%d | reference %.1f ms (%.0f states/s) | flat %.1f ms \
      (%.0f states/s) | speedup %.1fx\n\
-     oracle-build: m=%d n=%d (%d cells) | sequential %.1f ms | pooled %.1f ms \
-     (%d workers) | speedup %.1fx | summary %s\n"
+     oracle-build: m=%d n=%d (%d cells) | sweep %.1f ms | precompute: \
+     sequential %.1f ms, pooled %.1f ms (%d workers), speedup %.1fx | sweep \
+     = precompute: %b | summary %s\n"
     dp_spec.W.Multi_gen.m dp_spec.W.Multi_gen.n ref_ms
     (per_s refr.Reference.states_explored ref_ms)
     flat_ms
     (per_s flat.Mt_dp.states_explored flat_ms)
     dp_speedup oracle_spec.W.Multi_gen.m oracle_spec.W.Multi_gen.n
-    stats.Interval_cost.cells seq_ms pooled_ms
-    stats.Interval_cost.build_workers build_speedup out;
+    stats.Interval_cost.cells sweep_ms seq_ms pooled_ms
+    stats.Interval_cost.build_workers build_speedup sweep_equal out;
   Printf.printf
     "table-cache: %d cells (%d-bit, %d bytes) | cold %.1f ms | warm %.1f ms \
      (mmap, %.1fx) | %d hit(s), %d store(s)\n"
@@ -486,6 +515,10 @@ let () =
        queries, cells_equal %b, plans_equal %b)\n"
       sparse_build_ms sstats.Interval_cost.bytes_resident
       sstats.Interval_cost.queries rung_cells_equal rung_plans_equal;
+    exit 1
+  end;
+  if not sweep_equal then begin
+    Printf.eprintf "dp_bench: the swept table deviates from the precomputed table\n";
     exit 1
   end;
   if not warm_equal then begin

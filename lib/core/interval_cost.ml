@@ -117,82 +117,72 @@ let dense_lookup ~n table =
       invalid_arg (Printf.sprintf "Interval_cost: bad range [%d,%d] (n=%d)" lo hi n);
     read ((j * tri) + rows.(lo) + hi)
 
-(* Parallelize a dense build on the pool at or above this many cells;
-   below it, queue traffic would dominate the row sweeps. *)
-let parallel_build_cells = 1 lsl 15
-
-(* The one dense build.  [fill write base j lo] writes cell (j, lo, hi)
-   at index [base + hi] for every hi in lo..n-1.  The (task, lo) rows
-   are independent, so they build in parallel on [pool] — by default
-   the shared pool for tables of at least [parallel_build_cells] cells
-   — and the per-chunk wall clocks add up to the sequential-equivalent
-   build time.  [bound] picks the element width; a fill that exceeds it
-   (a non-monotone custom oracle) trips the checked write and the table
-   is rebuilt at full width instead of storing a truncated cell. *)
-let build_dense ?pool ~m ~n ~bound fill =
+(* The one dense allocation.  [fill write] writes every cell (j, lo, hi)
+   at [(j · tri_cells n) + (row_bases n).(lo) + hi] and returns the
+   number of domains that took part and, when more than one did, their
+   summed wall clock in ms — the sequential-equivalent build time.
+   [bound] picks the element width; a fill that exceeds it (a
+   non-monotone custom oracle) trips the checked write and the table is
+   rebuilt at full width instead of storing a truncated cell. *)
+let build_dense ~m ~n ~bound fill =
   let t0 = Hr_util.Budget.now_ms () in
-  let cells = dense_cells ~m ~n in
-  let tri = tri_cells n and rows = row_bases n in
-  let pool =
-    match pool with
-    | Some _ -> pool
-    | None -> if cells >= parallel_build_cells then Some (Pool.default ()) else None
-  in
-  let seq_us = Atomic.make 0 in
   let build max_value =
-    let table = Flat_table.create ~max_value cells in
-    let write = Flat_table.writer table in
-    Atomic.set seq_us 0;
-    let fill_rows r_lo r_hi =
-      let c0 = Hr_util.Budget.now_ms () in
-      for r = r_lo to r_hi do
-        let j = r / n and lo = r mod n in
-        fill write ((j * tri) + rows.(lo)) j lo
-      done;
-      ignore
-        (Atomic.fetch_and_add seq_us
-           (int_of_float ((Hr_util.Budget.now_ms () -. c0) *. 1000.)))
-    in
-    let workers =
-      match pool with
-      | Some p ->
-          Pool.iter_chunks ~chunks:(min (m * n) ((Pool.size p + 1) * 4)) p fill_rows (m * n);
-          Pool.size p + 1
-      | None ->
-          fill_rows 0 ((m * n) - 1);
-          1
-    in
-    (table, workers)
+    let table = Flat_table.create ~max_value (dense_cells ~m ~n) in
+    (table, fill (Flat_table.writer table))
   in
-  let table, build_workers =
+  let table, (build_workers, seq_ms) =
     try build bound with Flat_table.Overflow _ -> build max_int
   in
   let build_ms = Hr_util.Budget.now_ms () -. t0 in
-  let build_seq_ms =
-    if build_workers = 1 then build_ms else float_of_int (Atomic.get seq_us) /. 1000.
-  in
+  let build_seq_ms = if build_workers = 1 then build_ms else seq_ms in
   (table, Dense_table { table; build_ms; build_workers; build_seq_ms; source = Built })
 
 let dense ~m ~n ~v (table, cache) =
   { (make ~m ~n ~v ~step_cost:(dense_lookup ~n table)) with cache }
 
-(* The switch-model fill: row lo of task j grows one union from step lo
-   to n−1 and writes [measure j] of it after each step.  The whole
-   trace's union is the largest a block union can be, so it bounds every
-   cell. *)
-let sweep ?pool ts ~measure =
+(* The switch-model fill, one pass per task on the calling domain.  A
+   block's union holds exactly the switches whose next occurrence at or
+   after lo is at most hi, so cell (j, lo, hi) is the weight of
+   {s : next_occ(s, lo) <= hi}.  Task j's rows fill from lo = n−1 down
+   to 0: [next.(s)] is the first step >= lo that requires s (n if none)
+   and [hist.(k)] the weight of the switches whose next occurrence is
+   step k.  Entering step lo moves each switch of req(lo) from bucket
+   [next.(s)] to bucket lo, and row lo is the running sum of [hist]
+   from lo.  O(n(n+1)/2 + requirement entries + width) per task.  The
+   weight of the whole trace's union is the largest cell, so it bounds
+   every cell. *)
+let sweep ts ~weight =
   let m = Task_set.num_tasks ts and n = Task_set.steps ts in
   let traces = Array.init m (fun j -> (Task_set.get ts j).Task_set.trace) in
   let bound = ref 0 in
-  Array.iteri (fun j tr -> bound := max !bound (measure j (Trace.total_union tr))) traces;
-  build_dense ?pool ~m ~n ~bound:!bound (fun write base j lo ->
-      let tr = traces.(j) in
-      let acc = Bitset.copy (Trace.req tr lo) in
-      write (base + lo) (measure j acc);
-      for hi = lo + 1 to n - 1 do
-        ignore (Bitset.union_into ~into:acc (Trace.req tr hi));
-        write (base + hi) (measure j acc)
-      done)
+  Array.iteri
+    (fun j tr ->
+      bound := max !bound (Bitset.fold (fun s acc -> acc + weight j s) (Trace.total_union tr) 0))
+    traces;
+  let tri = tri_cells n and rows = row_bases n in
+  build_dense ~m ~n ~bound:!bound (fun write ->
+      Array.iteri
+        (fun j tr ->
+          let weight = weight j in
+          let next = Array.make (Switch_space.size (Trace.space tr)) n in
+          let hist = Array.make (n + 1) 0 in
+          for lo = n - 1 downto 0 do
+            Bitset.iter
+              (fun s ->
+                let w = weight s in
+                hist.(next.(s)) <- hist.(next.(s)) - w;
+                hist.(lo) <- hist.(lo) + w;
+                next.(s) <- lo)
+              (Trace.req tr lo);
+            let base = (j * tri) + rows.(lo) in
+            let acc = ref 0 in
+            for hi = lo to n - 1 do
+              acc := !acc + hist.(hi);
+              write (base + hi) !acc
+            done
+          done)
+        traces;
+      (1, 0.))
 
 let task_vs ts = Array.init (Task_set.num_tasks ts) (fun j -> (Task_set.get ts j).Task_set.v)
 
@@ -201,15 +191,13 @@ let task_vs ts = Array.init (Task_set.num_tasks ts) (fun j -> (Task_set.get ts j
    cells in the same budget. *)
 let default_max_bytes = 128 * 1024 * 1024
 
-let dense_of_task_set ?pool ts =
+let dense_of_task_set ts =
   dense ~m:(Task_set.num_tasks ts) ~n:(Task_set.steps ts) ~v:(task_vs ts)
-    (sweep ?pool ts ~measure:(fun _ acc -> Bitset.cardinal acc))
+    (sweep ts ~weight:(fun _ _ -> 1))
 
 let of_weighted ~v ~weights ts =
   dense ~m:(Task_set.num_tasks ts) ~n:(Task_set.steps ts) ~v
-    (sweep ts ~measure:(fun j acc ->
-         let w = weights.(j) in
-         Bitset.fold (fun x s -> s + w.(x)) acc 0))
+    (sweep ts ~weight:(fun j x -> weights.(j).(x)))
 
 let sparse_of_task_set ts =
   let m = Task_set.num_tasks ts in
@@ -228,17 +216,17 @@ let projected_dense_bytes ~bound ~m ~n =
   let width = if bound <= 0xFFFF then 2 else if bound <= Int32.to_int Int32.max_int then 4 else 8 in
   width * dense_cells ~m ~n
 
-let of_task_set ?pool ?(policy = Auto) ?(max_bytes = default_max_bytes) ts =
+let of_task_set ?(policy = Auto) ?(max_bytes = default_max_bytes) ts =
   match policy with
-  | Dense -> dense_of_task_set ?pool ts
+  | Dense -> dense_of_task_set ts
   | Sparse -> sparse_of_task_set ts
   | Auto ->
       let m = Task_set.num_tasks ts and n = Task_set.steps ts in
       if projected_dense_bytes ~bound:0 ~m ~n > max_bytes then sparse_of_task_set ts
-      else dense_of_task_set ?pool ts
+      else dense_of_task_set ts
 
-let of_single ?pool ?policy ?max_bytes ~v trace =
-  of_task_set ?pool ?policy ?max_bytes (Task_set.single ~name:"task" ~v trace)
+let of_single ?policy ?max_bytes ~v trace =
+  of_task_set ?policy ?max_bytes (Task_set.single ~name:"task" ~v trace)
 
 (* [step_cost] is monotone (non-increasing in lo, non-decreasing in
    hi), so the largest cell of task j is the full-interval cost — m
@@ -268,6 +256,45 @@ let store cache ~key t =
   | Dense_table { table; source = Built; _ } -> Table_cache.store cache ~key table
   | Dense_table { source = Mapped; _ } | Sparse_index _ | Direct -> ()
 
+(* Parallelize a precompute on the pool at or above this many cells;
+   below it, queue traffic would dominate the row fills. *)
+let parallel_build_cells = 1 lsl 15
+
+(* A custom oracle's fill: row lo of task j writes [step_cost j lo hi]
+   for hi = lo..n−1.  The (task, lo) rows are independent, so they fill
+   in parallel on [pool] — by default the shared pool for tables of at
+   least [parallel_build_cells] cells — and the per-chunk wall clocks
+   add up to the sequential-equivalent build time. *)
+let fill_rows ?pool ~m ~n step_cost write =
+  let tri = tri_cells n and rows = row_bases n in
+  let pool =
+    match pool with
+    | Some _ -> pool
+    | None ->
+        if dense_cells ~m ~n >= parallel_build_cells then Some (Pool.default ()) else None
+  in
+  let seq_us = Atomic.make 0 in
+  let fill r_lo r_hi =
+    let c0 = Hr_util.Budget.now_ms () in
+    for r = r_lo to r_hi do
+      let j = r / n and lo = r mod n in
+      let base = (j * tri) + rows.(lo) in
+      for hi = lo to n - 1 do
+        write (base + hi) (step_cost j lo hi)
+      done
+    done;
+    ignore
+      (Atomic.fetch_and_add seq_us
+         (int_of_float ((Hr_util.Budget.now_ms () -. c0) *. 1000.)))
+  in
+  match pool with
+  | Some p ->
+      Pool.iter_chunks ~chunks:(min (m * n) ((Pool.size p + 1) * 4)) p fill (m * n);
+      (Pool.size p + 1, float_of_int (Atomic.get seq_us) /. 1000.)
+  | None ->
+      fill 0 ((m * n) - 1);
+      (1, 0.)
+
 let precompute ?(max_bytes = default_max_bytes) ?pool t =
   match t.cache with
   | Dense_table _ | Sparse_index _ -> t
@@ -277,11 +304,6 @@ let precompute ?(max_bytes = default_max_bytes) ?pool t =
       let bound = value_bound t in
       (* Over the memory budget a custom oracle stays direct. *)
       if projected_dense_bytes ~bound ~m ~n > max_bytes then t
-      else
-        dense ~m ~n ~v:t.v
-          (build_dense ?pool ~m ~n ~bound (fun write base j lo ->
-               for hi = lo to n - 1 do
-                 write (base + hi) (t.step_cost j lo hi)
-               done))
+      else dense ~m ~n ~v:t.v (build_dense ~m ~n ~bound (fill_rows ?pool ~m ~n t.step_cost))
 
 let full_cost t j = if t.n = 0 then 0 else t.step_cost j 0 (t.n - 1)

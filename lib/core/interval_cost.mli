@@ -99,17 +99,20 @@ type cache_stats = {
     lifetime and safe to read while other domains query it. *)
 val cache_stats : t -> cache_stats
 
-(** [of_task_set ?pool ?policy ?max_bytes ts] is the MT-Switch oracle:
+(** [of_task_set ?policy ?max_bytes ts] is the MT-Switch oracle:
     [step_cost j lo hi = |U_j(lo,hi)|].
 
     Under the dense rung (the [Auto] default while the projected table
     fits [max_bytes], or forced with [Dense]) it builds the one dense
-    table: m·n(n+1)/2 cells, filled by a prefix-union sweep per
-    (task, lo) row.  The rows build in parallel on [pool]; without
-    [pool], tables of at least 2¹⁵ cells build on the shared
-    {!Hr_util.Pool.default} and smaller ones stay sequential.  The
-    table is elementwise identical either way.  The oracle arrives
-    dense, so {!precompute} leaves it as it is.
+    table: m·n(n+1)/2 cells, filled by one next-occurrence sweep per
+    task on the calling domain.  A block's union holds exactly the
+    switches whose next occurrence at or after [lo] is at most [hi]
+    ({!Occ_index}'s identity), so the sweep walks [lo] from n−1 down to
+    0, keeps each switch's next occurrence and a count of switches per
+    next-occurrence step, and writes row [lo] as a running sum of those
+    counts.  It costs O(n(n+1)/2 + requirement entries + width) per
+    task, and reports [build_workers = 1] in {!cache_stats}.  The oracle
+    arrives dense, so {!precompute} leaves it as it is.
 
     Under the sparse rung ([Sparse], or [Auto] above the budget) it
     builds one {!Occ_index} per task instead: O(n + requirement
@@ -117,19 +120,17 @@ val cache_stats : t -> cache_stats
     O(S log σ) queries — elementwise identical to the dense table
     (property-tested), just slower per query.  This is what makes
     10⁵-step traces feasible: their dense table would need > 10 GiB.
-    [pool] is unused on this rung.  Sparse oracles are never densified
-    by {!precompute} (solvers query them through [step_cost] as-is).
+    Sparse oracles are never densified by {!precompute} (solvers query
+    them through [step_cost] as-is).
 
     [max_bytes] (default {!default_max_bytes}) budgets the projected
     dense footprint, {!projected_dense_bytes}[ ~bound:0]: m·n(n+1)
     bytes at the cheapest (16-bit) element width. *)
-val of_task_set :
-  ?pool:Hr_util.Pool.t -> ?policy:policy -> ?max_bytes:int -> Task_set.t -> t
+val of_task_set : ?policy:policy -> ?max_bytes:int -> Task_set.t -> t
 
-(** [of_single ?pool ?policy ?max_bytes ~v trace] is the single-task
-    switch oracle. *)
-val of_single :
-  ?pool:Hr_util.Pool.t -> ?policy:policy -> ?max_bytes:int -> v:int -> Trace.t -> t
+(** [of_single ?policy ?max_bytes ~v trace] is the single-task switch
+    oracle. *)
+val of_single : ?policy:policy -> ?max_bytes:int -> v:int -> Trace.t -> t
 
 (** [make ~m ~n ~v ~step_cost] builds a custom oracle (used by the DAG
     and General models). *)
@@ -137,10 +138,10 @@ val make : m:int -> n:int -> v:int array -> step_cost:(int -> int -> int -> int)
 
 (** [of_weighted ~v ~weights ts] is the dense oracle of a weighted
     switch model: the same sweep as {!of_task_set}'s dense rung, but
-    each cell sums [weights.(j).(x)] over the block union of task [j]
-    instead of counting it.  Always dense, whatever the size (there is
-    no sparse weighted rung, so no byte budget applies).  {!Weighted}
-    validates the weights. *)
+    each switch counts [weights.(j).(x)] instead of 1, so each cell sums
+    the weights over the block union of task [j].  Always dense,
+    whatever the size (there is no sparse weighted rung, so no byte
+    budget applies).  {!Weighted} validates the weights. *)
 val of_weighted : v:int array -> weights:int array array -> Task_set.t -> t
 
 (** [projected_dense_bytes ~bound ~m ~n] is the bytes of the dense
@@ -165,17 +166,20 @@ val value_bound : t -> int
 
 (** [precompute ?max_bytes ?pool t] materializes every
     [step_cost j lo hi] with [lo <= hi] into the dense table, in
-    O(m·n²) oracle calls — the same layout and build routine as
-    {!of_task_set}'s dense rung.  Queries become lock-free O(1) reads of
-    out-of-heap storage, safe to share across domains (used by
-    {!Solver.race} and the parallel metaheuristics); a query outside
-    the triangle [0 <= lo <= hi < n] raises [Invalid_argument].  The
-    element width (16/32/64 bits) is picked from {!value_bound}; a
-    custom oracle that violates the documented monotonicity trips the
-    checked writes and transparently rebuilds at full width.  The build
-    runs on [pool] as in {!of_task_set}, and records wall and
-    sequential-equivalent times and the worker count in
-    {!cache_stats}.
+    O(m·n²) oracle calls — the same layout, width ladder and allocation
+    as {!of_task_set}'s dense rung, filled row by row from [step_cost].
+    Queries become lock-free O(1) reads of out-of-heap storage, safe to
+    share across domains (used by {!Solver.race} and the parallel
+    metaheuristics); a query outside the triangle [0 <= lo <= hi < n]
+    raises [Invalid_argument].  The element width (16/32/64 bits) is
+    picked from {!value_bound}; a custom oracle that violates the
+    documented monotonicity trips the checked writes and transparently
+    rebuilds at full width.  The (task, lo) rows fill in parallel on
+    [pool]; without [pool], tables of at least 2¹⁵ cells fill on the
+    shared {!Hr_util.Pool.default} and smaller ones stay sequential.
+    The table is elementwise identical either way.  {!cache_stats}
+    records the wall and sequential-equivalent times and the worker
+    count.
 
     When the table would exceed [max_bytes] (default
     {!default_max_bytes}) the oracle stays direct.

@@ -20,8 +20,8 @@
       "total_ms": 87.2,
       "oracle_cache": { "kind": "dense" | "sparse" | "direct",
                         "queries": 0, "cells": 18624, "segments": 0,
-                        "build_ms": 1.9, "build_workers": 9,
-                        "build_seq_ms": 11.3, "build_speedup": 5.9 | null,
+                        "build_ms": 0.2, "build_workers": 1,
+                        "build_seq_ms": 0.2, "build_speedup": null | 2.6,
                         "width_bits": 16, "bytes_resident": 37248,
                         "bytes_peak": 37248,
                         "source": "built" | "mmap" | null },

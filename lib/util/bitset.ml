@@ -79,9 +79,17 @@ let inter a b = map2 ( land ) a b
 let diff a b = map2 (fun x y -> x land lnot y) a b
 let symdiff a b = map2 ( lxor ) a b
 
-let popcount_word w0 =
-  let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
-  go w0 0
+(* Branch-free SWAR count of one 63-bit word: sum bit pairs, then
+   nibbles, then bytes, and gather the byte sums in the top byte with
+   one multiply.  Every shift is logical, so the sign bit (bit 62)
+   counts like any other.  The top field is narrower than the rest at
+   every stage (1, 3, 7 and 7 bits), but the count it holds (at most 1,
+   3, 7 and 63) always fits. *)
+let popcount_word w =
+  let w = w - ((w lsr 1) land 0x1555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (w * 0x0101_0101_0101_0101) lsr 56
 
 let cardinal s = Array.fold_left (fun acc w -> acc + popcount_word w) 0 s.words
 
@@ -106,10 +114,10 @@ let fold f s init =
     let base = k * bits_per_word in
     let w = ref s.words.(k) in
     while !w <> 0 do
+      (* The lowest set bit's index is the count of the bits below it. *)
       let low = !w land - !w in
-      let rec bit_index b i = if b = 1 then i else bit_index (b lsr 1) (i + 1) in
-      acc := f (base + bit_index low 0) !acc;
-      w := !w land (!w - 1)
+      acc := f (base + popcount_word (low - 1)) !acc;
+      w := !w lxor low
     done
   done;
   !acc

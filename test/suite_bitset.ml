@@ -16,16 +16,14 @@ module Ref = struct
   let symdiff a b = norm (diff a b @ diff b a)
 end
 
-let width = 130 (* spans three 63-bit words *)
-
-let gen_list =
-  QCheck2.Gen.(list_size (int_bound 40) (int_bound (width - 1)))
-
-let of_list l = Bitset.of_list width l
-
-let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name gen f)
-
-let qcheck_tests =
+(* The model properties at one width; [suffix] tells the rounds apart.
+   Round one spans three 63-bit words, round two 33 words. *)
+let model_props ~width ~max_len ~suffix =
+  let gen_list = QCheck2.Gen.(list_size (int_bound max_len) (int_bound (width - 1))) in
+  let of_list l = Bitset.of_list width l in
+  let prop name gen f =
+    QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name:(name ^ suffix) gen f)
+  in
   [
     prop "union matches model" (QCheck2.Gen.pair gen_list gen_list) (fun (a, b) ->
         Bitset.to_list (Bitset.union (of_list a) (of_list b)) = Ref.union a b);
@@ -61,6 +59,10 @@ let qcheck_tests =
         Bitset.equal (of_list a) (of_list b) = (Bitset.compare (of_list a) (of_list b) = 0));
   ]
 
+let qcheck_tests =
+  model_props ~width:130 ~max_len:40 ~suffix:""
+  @ model_props ~width:2048 ~max_len:300 ~suffix:" (2048 wide)"
+
 let test_empty () =
   let s = Bitset.create 10 in
   check bool "is_empty" true (Bitset.is_empty s);
@@ -79,10 +81,17 @@ let test_full_zero_width () =
   check bool "empty" true (Bitset.is_empty s)
 
 let test_full_word_boundary () =
-  (* Exactly one word on a 63-bit system. *)
-  let w = Sys.int_size in
-  let s = Bitset.full w in
-  check int "cardinal" w (Bitset.cardinal s)
+  (* Exactly one word on a 63-bit system, both sides of the first two
+     word edges, and 33 words: every bit, the sign bit included, counts
+     once and folds to its own index. *)
+  List.iter
+    (fun w ->
+      let s = Bitset.full w in
+      check int (Printf.sprintf "cardinal of full %d" w) w (Bitset.cardinal s);
+      Alcotest.(check (list int))
+        (Printf.sprintf "elements of full %d" w)
+        (List.init w Fun.id) (Bitset.to_list s))
+    [ Sys.int_size; 62; 64; 126; 127; 2048 ]
 
 let test_add_remove () =
   let s = Bitset.add (Bitset.create 10) 4 in

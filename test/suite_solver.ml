@@ -598,8 +598,10 @@ let test_json_nesting_limit () =
 (* The flat-state DP engine and the parallel oracle precompute.        *)
 
 let test_pooled_precompute_matches_sequential () =
-  (* The pooled dense build must be elementwise identical to the
-     sequential one on every (task, lo, hi) query. *)
+  (* precompute's pooled row fill must be elementwise identical to its
+     sequential one on every (task, lo, hi) query.  A switch task set
+     arrives dense, so the oracle here is a direct one over the sparse
+     rung's step_cost: precompute fills its table from step_cost. *)
   let ts =
     Hr_workload.Multi_gen.correlated (Rng.create 11)
       {
@@ -609,21 +611,24 @@ let test_pooled_precompute_matches_sequential () =
         local_sizes = [| 8; 8; 8 |];
       }
   in
+  let sparse = Interval_cost.of_task_set ~policy:Interval_cost.Sparse ts in
+  let direct () =
+    Interval_cost.make ~m:sparse.Interval_cost.m ~n:sparse.Interval_cost.n
+      ~v:sparse.Interval_cost.v ~step_cost:sparse.Interval_cost.step_cost
+  in
   let pool = Hr_util.Pool.create ~workers:2 () in
   Fun.protect
     ~finally:(fun () -> Hr_util.Pool.shutdown pool)
     (fun () ->
-      let pooled =
-        Interval_cost.precompute ~pool (Interval_cost.of_task_set ~pool ts)
-      in
-      let direct = Interval_cost.of_task_set ts in
-      let m = direct.Interval_cost.m and n = direct.Interval_cost.n in
+      let pooled = Interval_cost.precompute ~pool (direct ()) in
+      let sequential = Interval_cost.precompute (direct ()) in
+      let m = sparse.Interval_cost.m and n = sparse.Interval_cost.n in
       for j = 0 to m - 1 do
         for lo = 0 to n - 1 do
           for hi = lo to n - 1 do
             if
               pooled.Interval_cost.step_cost j lo hi
-              <> direct.Interval_cost.step_cost j lo hi
+              <> sequential.Interval_cost.step_cost j lo hi
             then
               Alcotest.failf "pooled build deviates at (%d, %d, %d)" j lo hi
           done
@@ -631,7 +636,10 @@ let test_pooled_precompute_matches_sequential () =
       done;
       let s = Interval_cost.cache_stats pooled in
       check bool "dense" true (s.Interval_cost.kind = "dense");
-      check int "cells" (m * n * (n + 1) / 2) s.Interval_cost.cells)
+      check int "cells" (m * n * (n + 1) / 2) s.Interval_cost.cells;
+      check int "pooled: two workers and the caller" 3 s.Interval_cost.build_workers;
+      check int "sequential: one domain" 1
+        (Interval_cost.cache_stats sequential).Interval_cost.build_workers)
 
 let test_budget_polled_within_dp_level () =
   (* A 35^4 ~ 1.5M-state initial expansion takes far longer than 1 ms,

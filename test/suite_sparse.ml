@@ -79,15 +79,27 @@ let test_occ_union_matches () =
    two bitset words), unweighted and weighted: every cell equals the
    union counted straight from the requirement lists, and equals the
    sparse rung's answer (for weights: summed over Occ_index.union).  A
-   last case with cells past 65,535 must build a 32-bit table. *)
+   case with cells past 65,535 must build a 32-bit table, two cases,
+   one unweighted and one weighted, span 2,048 switches (33 words), and
+   a last pair mixes a width-0 space with a task whose steps are often
+   empty. *)
 let test_dense_table_property () =
   let rng = Rng.create 57 in
-  let counted reqs weight lo hi =
-    let seen = Hashtbl.create 16 in
-    for i = lo to hi do
-      List.iter (fun s -> Hashtbl.replace seen s ()) reqs.(i)
-    done;
-    Hashtbl.fold (fun s () acc -> acc + weight s) seen 0
+  (* Row lo of the reference: for each hi, the weight of the union of
+     steps lo..hi, counted as the steps are added one by one. *)
+  let counted_row reqs weight lo =
+    let seen = Hashtbl.create 16 and acc = ref 0 in
+    Array.init
+      (Array.length reqs - lo)
+      (fun k ->
+        List.iter
+          (fun s ->
+            if not (Hashtbl.mem seen s) then begin
+              Hashtbl.add seen s ();
+              acc := !acc + weight s
+            end)
+          reqs.(lo + k);
+        !acc)
   in
   let run ~label ~weights ts =
     let m = Task_set.num_tasks ts and n = Task_set.steps ts in
@@ -113,8 +125,9 @@ let test_dense_table_property () =
       let reqs = Array.init n (fun i -> Bitset.to_list (Trace.req trace i)) in
       let weight = match weights with None -> fun _ -> 1 | Some w -> fun x -> w.(j).(x) in
       for lo = 0 to n - 1 do
+        let row = counted_row reqs weight lo in
         for hi = lo to n - 1 do
-          let want = counted reqs weight lo hi in
+          let want = row.(hi - lo) in
           let got = dense.Interval_cost.step_cost j lo hi in
           if got <> want || sparse_cell j lo hi <> want then
             Alcotest.failf "%s: cell (%d,%d,%d) dense=%d sparse=%d counted=%d" label j lo
@@ -144,7 +157,34 @@ let test_dense_table_property () =
   in
   let s = run ~label:"32-bit" ~weights:(Some [| Array.make 6 40_000 |]) ts in
   check int "cells past 65,535 take 32 bits" 32 s.Interval_cost.width_bits;
-  check int "bytes = cells * 4" (4 * s.Interval_cost.cells) s.Interval_cost.bytes_resident
+  check int "bytes = cells * 4" (4 * s.Interval_cost.cells) s.Interval_cost.bytes_resident;
+  List.iter
+    (fun weighted ->
+      let width = 2048 and n = 48 in
+      let ts =
+        Task_set.make
+          (Array.init 2 (fun j ->
+               Task_set.task ~name:(Printf.sprintf "w%d" j) ~v:1 (random_trace rng ~width ~n)))
+      in
+      let weights =
+        if weighted then Some (Array.init 2 (fun _ -> Array.init width (fun _ -> 1 + Rng.int rng 9)))
+        else None
+      in
+      ignore (run ~label:(Printf.sprintf "2048 switches, weighted %b" weighted) ~weights ts))
+    [ false; true ];
+  let ts =
+    Task_set.make
+      [|
+        Task_set.task ~name:"none" ~v:1 (random_trace rng ~width:0 ~n:7);
+        Task_set.task ~name:"sparse" ~v:1
+          (Trace.of_lists (Switch_space.make 5) [ []; [ 1; 3 ]; []; []; [ 3 ]; [ 0; 4 ]; [] ]);
+      |]
+  in
+  ignore (run ~label:"width 0, empty steps" ~weights:None ts);
+  ignore
+    (run ~label:"width 0, empty steps, weighted"
+       ~weights:(Some [| [||]; [| 2; 3; 5; 7; 11 |] |])
+       ts)
 
 (* Outside the triangle a dense query raises, whether the table came
    from the switch sweep or from precompute over a custom oracle. *)
